@@ -15,9 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DataError, DetectorFinishedError
-from .stats import WindowState, statistic_windowed, _as_matrix
+from .stats import WindowState, statistic_windowed, _as_matrix, _check_mean
 from .training import TrainingSummary
-from .weights import build_weight_plan
+from .weights import _split_coefficients, build_weight_plan
 
 __all__ = [
     "DetectorConfig",
@@ -112,7 +112,7 @@ class Detector:
             summary.dep_order if config.dep_order is None else config.dep_order
         )
         self.plan = build_weight_plan(config.window, self.dep_order)
-        self._mean = np.asarray(summary.mean, dtype=np.float64)
+        self._mean = _check_mean(summary.mean, summary.p)
         self._state = WindowState(config.window)
         self._steps = 0
         self._finished = False
@@ -132,8 +132,8 @@ class Detector:
                     f"priming rows have {rows.shape[1]} columns, expected "
                     f"{self.summary.p}"
                 )
-            for row in rows:
-                self._state.push(row, self._mean)
+            for row in rows - self._mean:
+                self._state._store(row)
 
     @property
     def steps(self) -> int:
@@ -163,7 +163,7 @@ class Detector:
         if not np.all(np.isfinite(x)):
             raise DataError("observation contains non-finite values")
         self._steps += 1
-        self._state.push(x, self._mean)
+        self._state._store(x - self._mean)
         if not self._state.full or self._steps < self.config.evaluate_from:
             return StepResult(self._steps, "filling", None, None)
         raw = statistic_windowed(self._state, self.plan)
@@ -229,8 +229,6 @@ def localize(
     s_block = total - row_pref - col_pref + p_block
     x_block = total - p_block - s_block
 
-    alpha = (n - ts - m) / (ts - m - 1)
-    beta = (ts - m) / (n - ts - m - 1)
-    gamma = (ts - m) * (n - ts - m) / (ts * (n - ts) - m * (m + 1) / 2.0)
+    alpha, beta, gamma = _split_coefficients(ts, n, m)
     profile = (alpha * p_block + beta * s_block - gamma * x_block) / float(n) ** 2
     return int(ts[int(np.argmax(profile))])

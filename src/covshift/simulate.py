@@ -328,9 +328,10 @@ def _one_run(
     max_steps: int,
     seed,
     rep: int,
-) -> int:
+) -> tuple[int, bool]:
     """Train on the first n0 observations, then monitor the same stream until
-    alarm or the step cap; returns the stopping time (post-training steps)."""
+    alarm or the step cap; returns the stopping time (post-training steps)
+    and whether the detector alarmed."""
     gen = StreamGenerator(spec, (seed, rep))
     train = gen.take(recipe.n0)
     config = FitConfig(
@@ -348,13 +349,15 @@ def _one_run(
         for row in block:
             result = det.step(row)
             if result.state == "alarm":
-                return result.stopping_time
-    return max_steps
+                return result.stopping_time, True
+    return max_steps, False
 
 
-def _summarize(values: list, max_steps: int) -> McResult:
-    arr = np.asarray(values, dtype=np.float64)
-    censored = int(np.sum(arr >= max_steps))
+def _summarize(runs: list) -> McResult:
+    """Summarize (stopping time, alarmed) pairs; runs that never alarmed are
+    censored at the step cap."""
+    arr = np.asarray([steps for steps, _ in runs], dtype=np.float64)
+    censored = sum(not alarmed for _, alarmed in runs)
     mean = float(arr.mean())
     std_error = float(arr.std(ddof=1) / math.sqrt(arr.shape[0])) if arr.shape[0] > 1 else 0.0
     return McResult(
@@ -386,10 +389,10 @@ def monte_carlo_arl(
     if cap < 1:
         raise ConfigurationError(f"max_steps must be >= 1, got {cap}")
 
-    def run(rep: int) -> int:
+    def run(rep: int) -> tuple[int, bool]:
         return _one_run(spec, recipe, threshold, window, cap, seed, rep)
 
-    return _summarize(_run_replicates(run, replicates, workers), cap)
+    return _summarize(_run_replicates(run, replicates, workers))
 
 
 def monte_carlo_edd(
@@ -416,10 +419,10 @@ def monte_carlo_edd(
     if cap < 1:
         raise ConfigurationError(f"max_steps must be >= 1, got {cap}")
 
-    def run(rep: int) -> int:
+    def run(rep: int) -> tuple[int, bool]:
         return _one_run(spec, recipe, threshold, window, cap, seed, rep)
 
-    return _summarize(_run_replicates(run, replicates, workers), cap)
+    return _summarize(_run_replicates(run, replicates, workers))
 
 
 def dep_order_study(

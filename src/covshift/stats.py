@@ -4,7 +4,9 @@ The core quantity is a weighted double sum of squared centered inner products
 (x_i - mean)'(x_j - mean): with the summed weight matrix it measures overall
 covariance instability (mean zero under a stable stream), and with a single
 split's weights it profiles where a change happened.  The sliding-window form
-keeps the pairwise products cached so each new observation costs O(H * p).
+keeps the pairwise products cached in time order, so each new observation
+costs O(H * p) for its new products plus O(H^2) to shift the cache and
+contract it with the weights.
 """
 
 from __future__ import annotations
@@ -73,10 +75,13 @@ def profile_statistic(obs, mean, dep_order: int, t: int) -> float:
 
 
 class WindowState:
-    """Ring buffer of centered observations with cached squared products.
+    """Window of the last `capacity` centered observations with cached
+    squared inner products.
 
-    Single-writer: one stream owner pushes; the cached gram_sq row/column for
-    the evicted slot is overwritten in place, everything else is untouched.
+    gram_sq is kept in time order: row and column 0 belong to the oldest
+    observation, so one weight plan applies to it directly.  The centered
+    rows themselves sit in ring slot count % capacity.  Single-writer: one
+    stream owner pushes.
     """
 
     def __init__(self, capacity: int):
@@ -84,8 +89,6 @@ class WindowState:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.count = 0
-        self._start = 0  # ring position of the oldest observation once full
-        self._dim: int | None = None
         self._buf: np.ndarray | None = None        # capacity x p, centered
         self.gram_sq: np.ndarray | None = None     # capacity x capacity
 
@@ -96,40 +99,39 @@ class WindowState:
             raise DataError(f"observation must be 1-D, got shape {xv.shape}")
         if not np.all(np.isfinite(xv)):
             raise DataError("observation contains non-finite values")
-        if self._dim is None:
-            self._dim = xv.shape[0]
-            self._buf = np.zeros((self.capacity, self._dim))
-            self.gram_sq = np.zeros((self.capacity, self.capacity))
-        elif xv.shape[0] != self._dim:
-            raise DataError(f"observation has dimension {xv.shape[0]}, expected {self._dim}")
-        xc = xv - _check_mean(mean, self._dim)
+        if self._buf is not None and xv.shape[0] != self._buf.shape[1]:
+            raise DataError(
+                f"observation has dimension {xv.shape[0]}, expected {self._buf.shape[1]}"
+            )
+        return self._store(xv - _check_mean(mean, xv.shape[0]))
 
-        if self.count < self.capacity:
-            pos = self.count
-        else:
-            pos = self._start
-            self._start = (self._start + 1) % self.capacity
-        self._buf[pos] = xc
-        filled = min(self.count + 1, self.capacity)
-        # one new row/column of inner products, squared
-        prods = self._buf[:filled] @ xc
-        self.gram_sq[pos, :filled] = prods**2
-        self.gram_sq[:filled, pos] = self.gram_sq[pos, :filled]
+    def _store(self, xc: np.ndarray) -> "WindowState":
+        """Store an already validated, centered observation."""
+        h = self.capacity
+        if self._buf is None:
+            self._buf = np.zeros((h, xc.shape[0]))
+            self.gram_sq = np.zeros((h, h))
+        self._buf[self.count % h] = xc
         self.count += 1
+        filled = min(self.count, h)
+        # the oldest row is in slot count % h once full; rolling puts it first
+        sq = np.roll(self._buf[:filled] @ xc, -self.count) ** 2
+        g = self.gram_sq
+        if self.count > h:
+            # g[:-1, :-1] = g[1:, 1:] as one flat memmove; the 2-D form copies
+            # through an H x H temporary.  What wraps into the last column is
+            # overwritten below.
+            flat = g.reshape(-1)
+            flat[:-h - 1] = flat[h + 1:]
+        g[filled - 1, :filled] = sq
+        g[:filled, filled - 1] = sq
         return self
-
-    def _order(self) -> np.ndarray:
-        """Ring positions in chronological order, oldest first."""
-        filled = min(self.count, self.capacity)
-        if self.count <= self.capacity:
-            return np.arange(filled)
-        return (self._start + np.arange(self.capacity)) % self.capacity
 
     def contents(self) -> np.ndarray:
         """Centered window contents in chronological order (copy)."""
         if self._buf is None:
             return np.zeros((0, 0))
-        return self._buf[self._order()].copy()
+        return np.roll(self._buf[:min(self.count, self.capacity)], -self.count, axis=0)
 
     @property
     def full(self) -> bool:
@@ -139,8 +141,8 @@ class WindowState:
 def statistic_windowed(state: WindowState, plan: WeightPlan) -> float | None:
     """Windowed statistic over the current contents; None until full.
 
-    Window positions are renumbered 1..H oldest -> newest so one plan built
-    for length H serves every evaluation.
+    Window positions are numbered 1..H oldest -> newest, the order gram_sq
+    is kept in, so one plan built for length H serves every evaluation.
     """
     if plan.length != state.capacity:
         raise ConfigurationError(
@@ -148,7 +150,4 @@ def statistic_windowed(state: WindowState, plan: WeightPlan) -> float | None:
         )
     if not state.full:
         return None
-    order = state._order()
-    g = state.gram_sq[np.ix_(order, order)]
-    h = state.capacity
-    return float((plan.weights * g).sum() / h**2)
+    return float(np.vdot(plan.weights, state.gram_sq) / state.capacity**2)

@@ -34,48 +34,56 @@ def _check_order(length: int, dep_order: int) -> None:
         )
 
 
+def _check_split(t: int, length: int, dep_order: int) -> None:
+    n, m = length, dep_order
+    _check_order(n, m)
+    if not (m + 2 <= t <= n - m - 2):
+        raise ConfigurationError(
+            f"split t={t} outside valid range [{m + 2}, {n - m - 2}] "
+            f"for length {n}, dep_order {m}"
+        )
+
+
+def _split_coefficients(t, length: int, dep_order: int):
+    """(alpha_t, beta_t, gamma_t) for split(s) t, scalar or array.
+
+    alpha_t weights pairs left of the split, beta_t pairs right of it, and
+    -gamma_t pairs straddling it.
+    """
+    n, m = length, dep_order
+    alpha = (n - t - m) / (t - m - 1)
+    beta = (t - m) / (n - t - m - 1)
+    gamma = (t - m) * (n - t - m) / (t * (n - t) - m * (m + 1) / 2.0)
+    return alpha, beta, gamma
+
+
 def profile_weight(t: int, i: int, j: int, length: int, dep_order: int) -> float:
     """Split weight A_t(i, j) for a sequence of the given length.
 
     All indices are 1-based.  Valid splits are dep_order+2 <= t <=
     length-dep_order-2; the weight is symmetric in (i, j).
     """
-    n, m = length, dep_order
-    _check_order(n, m)
-    if not (m + 2 <= t <= n - m - 2):
-        raise ConfigurationError(
-            f"split t={t} outside valid range [{m + 2}, {n - m - 2}] "
-            f"for length {n}, dep_order {m}"
-        )
+    n = length
+    _check_split(t, n, dep_order)
     if not (1 <= i <= n and 1 <= j <= n):
         raise ConfigurationError(f"indices ({i}, {j}) outside 1..{n}")
-    val = 0.0
-    if i <= t and j <= t:
-        val += (n - t - m) / (t - m - 1)
-    if i >= t + 1 and j >= t + 1:
-        val += (t - m) / (n - t - m - 1)
-    if (i <= t < j) or (j <= t < i):
-        val -= (t - m) * (n - t - m) / (t * (n - t) - m * (m + 1) / 2.0)
-    return val
+    alpha, beta, gamma = _split_coefficients(t, n, dep_order)
+    if max(i, j) <= t:
+        return alpha
+    if min(i, j) > t:
+        return beta
+    return -gamma
 
 
 def profile_weight_matrix(t: int, length: int, dep_order: int) -> np.ndarray:
     """Banded slice A_t(i, j) * 1{|i-j| >= dep_order+1} as an n x n matrix."""
     n, m = length, dep_order
-    _check_order(n, m)
-    if not (m + 2 <= t <= n - m - 2):
-        raise ConfigurationError(
-            f"split t={t} outside valid range [{m + 2}, {n - m - 2}] "
-            f"for length {n}, dep_order {m}"
-        )
+    _check_split(t, n, m)
+    alpha, beta, gamma = _split_coefficients(t, n, m)
     idx = np.arange(1, n + 1)
     left = idx <= t
-    alpha = (n - t - m) / (t - m - 1)
-    beta = (t - m) / (n - t - m - 1)
-    gamma = (t - m) * (n - t - m) / (t * (n - t) - m * (m + 1) / 2.0)
-    a = np.where(left, alpha, 0.0)[:, None] * left[None, :] \
-        + np.where(~left, beta, 0.0)[:, None] * (~left)[None, :] \
-        - gamma * (left[:, None] ^ left[None, :])
+    same_side = left[:, None] == left[None, :]
+    a = np.where(same_side, np.where(left, alpha, beta)[:, None], -gamma)
     band = np.abs(idx[:, None] - idx[None, :]) >= m + 1
     return np.where(band, a, 0.0)
 
@@ -84,14 +92,12 @@ def profile_weight_matrix(t: int, length: int, dep_order: int) -> np.ndarray:
 class WeightPlan:
     """Immutable weight matrix for a fixed (length, dep_order).
 
-    weights is read-only and shareable across threads; per-split profile
-    matrices can always be materialized on demand (profile_weights_available).
+    weights is read-only and shareable across threads.
     """
 
     length: int
     dep_order: int
     weights: np.ndarray = field(repr=False)
-    profile_weights_available: bool = True
 
     def __post_init__(self):
         self.weights.setflags(write=False)
@@ -99,42 +105,25 @@ class WeightPlan:
 
 @lru_cache(maxsize=64)
 def build_weight_plan(length: int, dep_order: int) -> WeightPlan:
-    """Sum the banded split weights over all valid splits.
+    """Sum the banded split weights over all valid splits, in O(n^2).
 
-    Vectorized with prefix sums over t, O(n^2): the same-side branches
-    telescope over t >= max(i,j) and t < min(i,j), the straddling branch over
-    the range in between.
+    Off the band the sum separates as W(i, j) = u(max(i,j)) + v(min(i,j)):
+    with C(x) the sum of gamma_t over valid t <= x, the pair (i < j) collects
+    alpha_t for t >= j, beta_t for t < i and -gamma_t for i <= t < j, so
+    u(k) = sum_{t>=k} alpha_t - C(k-1) and v(k) = sum_{t<k} beta_t + C(k-1).
     """
     n, m = length, dep_order
     _check_order(n, m)
-    t = np.arange(m + 2, n - m - 1, dtype=float)  # m+2 .. n-m-2 inclusive
-    alpha = (n - t - m) / (t - m - 1)
-    beta = (t - m) / (n - t - m - 1)
-    gamma = (t - m) * (n - t - m) / (t * (n - t) - m * (m + 1) / 2.0)
     t0, t1 = m + 2, n - m - 2
-    cum_a = np.concatenate(([0.0], np.cumsum(alpha)))
-    cum_b = np.concatenate(([0.0], np.cumsum(beta)))
-    cum_g = np.concatenate(([0.0], np.cumsum(gamma)))
-
-    idx = np.arange(1, n + 1)
-    mn = np.minimum.outer(idx, idx)
-    mx = np.maximum.outer(idx, idx)
-
-    # sum of alpha over t in [max(i,j), t1]
-    lo = np.clip(mx, t0, t1 + 1)
-    same_high = cum_a[-1] - cum_a[lo - t0]
-    # sum of beta over t in [t0, min(i,j)-1]
-    hi = np.clip(mn - 1, t0 - 1, t1)
-    same_low = cum_b[hi - t0 + 1]
-    # sum of gamma over t in [min(i,j), max(i,j)-1]
-    g_lo = np.clip(mn, t0, t1 + 1)
-    g_hi = np.clip(mx - 1, t0 - 1, t1)
-    straddle = np.where(g_hi >= g_lo, cum_g[g_hi - t0 + 1] - cum_g[np.minimum(g_lo, t1 + 1) - t0], 0.0)
-
-    w = same_high + same_low - straddle
-    band = (mx - mn) >= m + 1
-    w = np.where(band, w, 0.0)
-    return WeightPlan(length=n, dep_order=m, weights=w)
+    coef = _split_coefficients(np.arange(t0, t1 + 1, dtype=float), n, m)
+    # index k-1 holds the coefficient of split t = k, zero outside [t0, t1]
+    alpha, beta, gamma = (np.pad(c, (t0 - 1, n - t1)) for c in coef)
+    below_g = np.cumsum(gamma) - gamma  # C(k-1)
+    u = np.cumsum(alpha[::-1])[::-1] - below_g
+    v = np.cumsum(beta) - beta + below_g
+    # row i, column j < i - m: the lower triangle off the band
+    lower = np.tril(u[:, None] + v[None, :], -(m + 1))
+    return WeightPlan(length=n, dep_order=m, weights=lower + lower.T)
 
 
 @lru_cache(maxsize=64)

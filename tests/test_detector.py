@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from covshift import (
     fit_training,
     gen_stream,
     localize,
+    profile_statistic,
     statistic_batch,
 )
 from covshift.errors import ConfigurationError, DataError, DetectorFinishedError
@@ -188,6 +191,19 @@ def test_localize_via_report_on_detected_change():
     assert report.tau_hat is not None
     assert abs(report.tau_hat - 160) <= 10
     assert report.delay_vs_tau_hat == summary.n0 + report.stopping_time - report.tau_hat
+
+
+def test_localize_is_earliest_argmax_of_dense_profile():
+    # localize's cumulative-sum profile against profile_statistic's dense
+    # per-split weights, over every admissible split
+    rng = np.random.default_rng(41)
+    for n, p, m, tau in [(30, 4, 0, None), (33, 3, 1, None), (36, 5, 2, None), (40, 6, 1, 22)]:
+        x = rng.standard_normal((n, p))
+        if tau is not None:
+            x[tau:] *= 2.0
+        summary = SimpleNamespace(mean=rng.standard_normal(p) * 0.1, p=p, dep_order=m)
+        profile = [profile_statistic(x, summary.mean, m, t) for t in range(m + 2, n - m - 1)]
+        assert localize(x, summary) == m + 2 + int(np.argmax(profile))
 
 
 def test_localize_tie_breaks_to_earliest_candidate():

@@ -201,13 +201,18 @@ def test_worker_count_does_not_change_results():
 
 
 def test_censoring_counts_and_unreliable_flag():
-    spec = GeneratorSpec(p=20, dep_order=0)
-    recipe = TrainingRecipe(n0=60)
-    mc = monte_carlo_arl(spec, recipe, threshold=50.0, window=20, replicates=4,
-                         max_steps=40, seed=1)
-    assert mc.censored == 4
-    assert mc.unreliable
-    assert mc.mean == 40.0
+    # (p, n0, threshold, window, max_steps, seed, censored): no replicate alarms
+    # in the first case; in the second every one alarms on the last allowed step
+    for p, n0, threshold, window, max_steps, seed, censored in [
+        (20, 60, 50.0, 20, 40, 1, 4),
+        (5, 40, 1e-6, 10, 1, 0, 0),
+    ]:
+        mc = monte_carlo_arl(GeneratorSpec(p=p, dep_order=0), TrainingRecipe(n0=n0),
+                             threshold=threshold, window=window, replicates=4,
+                             max_steps=max_steps, seed=seed)
+        assert mc.censored == censored
+        assert mc.unreliable == (censored > 0)
+        assert mc.mean == float(max_steps)
 
 
 def test_adaptive_order_matches_known_order_when_estimate_agrees():

@@ -139,6 +139,15 @@ def test_window_state_basic_push():
     assert state.gram_sq[0, 0] == pytest.approx(5.0**2)
 
 
+def test_rejected_first_push_leaves_window_state_usable():
+    state = WindowState(4)
+    with pytest.raises(DataError):
+        state.push(np.ones(3), np.zeros(2))  # mean of the wrong dimension
+    state.push(np.ones(2), np.zeros(2))
+    assert state.count == 1
+    assert state.gram_sq[0, 0] == pytest.approx(2.0**2)
+
+
 def test_window_state_holds_last_capacity_rows():
     h = 6
     state = WindowState(h)

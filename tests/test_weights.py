@@ -56,11 +56,11 @@ def test_profile_weight_rejects_out_of_range():
 
 
 def test_plan_matches_brute_force_oracle():
-    for m in (0, 1, 2):
-        for n in range(2 * m + 5, 2 * m + 11):
-            plan = build_weight_plan(n, m)
-            expected = brute_weight_matrix(n, m)
-            assert np.allclose(plan.weights, expected, rtol=1e-12, atol=1e-12)
+    cases = [(n, m) for m in (0, 1, 2, 3) for n in range(2 * m + 5, 2 * m + 11)]
+    for n, m in cases + [(40, 2)]:
+        plan = build_weight_plan(n, m)
+        expected = brute_weight_matrix(n, m)
+        assert np.allclose(plan.weights, expected, rtol=1e-12, atol=1e-12)
 
 
 def test_profile_weight_matrix_matches_scalar_formula():
