@@ -9,7 +9,7 @@ alarm, `localize` scans the recorded stream for the most likely change point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +27,9 @@ __all__ = [
     "localize",
 ]
 
+# rows of the squared Gram matrix that localize holds at once
+_LOCALIZE_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -34,13 +37,11 @@ class DetectorConfig:
 
     window: rolling window length H.
     threshold: alarm level for the standardized statistic.
-    dep_order: override of the training dependence order (None = use trained).
     evaluate_from: first post-training index eligible for an alarm.
     """
 
     window: int
     threshold: float
-    dep_order: Optional[int] = None
     evaluate_from: int = 1
 
     def __post_init__(self) -> None:
@@ -48,8 +49,6 @@ class DetectorConfig:
             raise ConfigurationError(f"window must be >= 1, got {self.window}")
         if self.threshold <= 0:
             raise ConfigurationError(f"threshold must be > 0, got {self.threshold}")
-        if self.dep_order is not None and self.dep_order < 0:
-            raise ConfigurationError(f"dep_order must be >= 0, got {self.dep_order}")
         if self.evaluate_from < 1:
             raise ConfigurationError(
                 f"evaluate_from must be >= 1, got {self.evaluate_from}"
@@ -108,10 +107,7 @@ class Detector:
             )
         self.summary = summary
         self.config = config
-        self.dep_order = (
-            summary.dep_order if config.dep_order is None else config.dep_order
-        )
-        self.plan = build_weight_plan(config.window, self.dep_order)
+        self.plan = build_weight_plan(config.window, summary.dep_order)
         self._mean = _check_mean(summary.mean, summary.p)
         self._state = WindowState(config.window)
         self._steps = 0
@@ -182,7 +178,7 @@ class Detector:
         tau_hat = None
         delay = None
         if history is not None:
-            tau_hat = localize(history, self.summary, dep_order=self.dep_order)
+            tau_hat = localize(history, self.summary)
             if tau_hat is not None and self._stopping_time is not None:
                 delay = self.summary.n0 + self._stopping_time - tau_hat
         return DetectionReport(
@@ -194,9 +190,7 @@ class Detector:
         )
 
 
-def localize(
-    history, summary: TrainingSummary, dep_order: Optional[int] = None
-) -> Optional[int]:
+def localize(history, summary: TrainingSummary) -> Optional[int]:
     """Estimate the change point from an observed stream.
 
     history holds the full stream (rows = observations, training included);
@@ -204,29 +198,34 @@ def localize(
     i.e. rows 1..tau_hat come before the change.  Returns None when the
     stream is too short to admit any candidate.  Ties pick the earliest
     candidate.
+
+    O(n^2 * p) work and O(n) memory beyond the history: the off-band
+    squared Gram is reduced to row and column sums a block of rows at a time.
     """
     x = _as_matrix(np.asarray(history, dtype=np.float64), "history")
     if x.shape[1] != summary.p:
         raise DataError(
             f"history has {x.shape[1]} columns, expected {summary.p}"
         )
-    m = summary.dep_order if dep_order is None else dep_order
+    m = summary.dep_order
     n = x.shape[0]
     t_lo, t_hi = m + 2, n - m - 2
     if t_hi < t_lo:
         return None
-    xc = x - np.asarray(summary.mean, dtype=np.float64)
-    gram_sq = (xc @ xc.T) ** 2
-    idx = np.arange(n)
-    gram_sq[np.abs(idx[:, None] - idx[None, :]) <= m] = 0.0
-    csum = gram_sq.cumsum(axis=0).cumsum(axis=1)
-    total = csum[-1, -1]
+    xc = x - _check_mean(summary.mean, summary.p)
+    # row[i] = sum_{j < i-m} G(i,j)^2 and col[j] = sum_{i > j+m} G(i,j)^2
+    row = np.zeros(n)
+    col = np.zeros(n)
+    for i0 in range(m + 1, n, _LOCALIZE_BLOCK):
+        i1 = min(i0 + _LOCALIZE_BLOCK, n)
+        sq = np.tril((xc[i0:i1] @ xc[:i1 - m - 1].T) ** 2, i0 - m - 1)
+        row[i0:i1] = sq.sum(axis=1)
+        col[:i1 - m - 1] += sq.sum(axis=0)
+    total = 2.0 * row.sum()
 
     ts = np.arange(t_lo, t_hi + 1)
-    p_block = csum[ts - 1, ts - 1]
-    row_pref = csum[ts - 1, -1]
-    col_pref = csum[-1, ts - 1]
-    s_block = total - row_pref - col_pref + p_block
+    p_block = 2.0 * np.cumsum(row)[ts - 1]
+    s_block = total - 2.0 * np.cumsum(col)[ts - 1]
     x_block = total - p_block - s_block
 
     alpha, beta, gamma = _split_coefficients(ts, n, m)

@@ -107,4 +107,7 @@ def load_summary(path: str) -> TrainingSummary:
         raise DataError(f"{path}: invalid JSON ({exc.msg})") from None
     if not isinstance(payload, dict):
         raise DataError(f"{path}: expected a JSON object")
-    return TrainingSummary.from_dict(payload)
+    try:
+        return TrainingSummary.from_dict(payload)
+    except KeyError as exc:
+        raise DataError(f"{path}: missing field {exc}") from None

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.linalg import cholesky, toeplitz
 
 from .detector import Detector, DetectorConfig
-from .errors import ConfigurationError
-from .training import FitConfig, fit_training
+from .errors import ConfigurationError, DependenceTooStrongError
+from .training import FitConfig, estimate_dep_order, fit_training
 from .weights import build_weight_plan, lag_weight_sums
 
 __all__ = [
@@ -313,11 +313,8 @@ class McResult:
 def _run_replicates(fn: Callable[[int], float], replicates: int, workers: int) -> list:
     if workers <= 1:
         return [fn(r) for r in range(replicates)]
-    out = [None] * replicates
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for r, value in zip(range(replicates), pool.map(fn, range(replicates))):
-            out[r] = value
-    return out
+        return list(pool.map(fn, range(replicates)))
 
 
 def _one_run(
@@ -440,9 +437,6 @@ def dep_order_study(
     structure.  Replicates where every candidate ratio stays above epsilon
     are counted under the key -1.
     """
-    from .errors import DependenceTooStrongError
-    from .training import estimate_dep_order
-
     spec = GeneratorSpec(p=p, dep_order=true_order, pre_base="toeplitz06")
     counts: dict = {}
     for rep in range(replicates):

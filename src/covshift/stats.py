@@ -37,6 +37,8 @@ def _check_mean(mean, p: int) -> np.ndarray:
     mu = np.asarray(mean, dtype=float)
     if mu.shape != (p,):
         raise DataError(f"mean has shape {mu.shape}, expected ({p},)")
+    if not np.all(np.isfinite(mu)):
+        raise DataError("mean contains non-finite values")
     return mu
 
 

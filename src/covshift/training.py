@@ -122,14 +122,20 @@ class TrainingSummary:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainingSummary":
+        """Rebuild a summary from to_dict output, rejecting a mean or null_sd
+        that monitoring could not use."""
         st = d["stationarity"]
+        p = int(d["p"])
+        null_sd = float(d["null_sd"])
+        if not 0.0 < null_sd < np.inf:
+            raise DataError(f"null_sd must be finite and > 0, got {null_sd}")
         return cls(
             n0=int(d["n0"]),
-            p=int(d["p"]),
-            mean=np.asarray(d["mean"], dtype=float),
+            p=p,
+            mean=_check_mean(d["mean"], p),
             dep_order=int(d["m_hat"]),
             trace_table=TraceTable.from_dict(d["trace_table"]),
-            null_sd=float(d["null_sd"]),
+            null_sd=null_sd,
             window=int(d["window"]),
             stationarity=StationarityResult(
                 statistic=float(st["statistic"]),
@@ -157,39 +163,37 @@ def _offband_recentered(gram: np.ndarray, band: int) -> np.ndarray:
     """
     n = gram.shape[0]
     idx = np.arange(n)
-    far = np.abs(idx[:, None] - idx[None, :]) > band
-    total = int(far.sum())
+    counts = np.maximum(idx - band, 0) + np.maximum(n - 1 - band - idx, 0)
+    total = int(counts.sum())
     if total == 0:
         return gram
-    counts = far.sum(axis=1)
-    sums = np.where(far, gram, 0.0).sum(axis=1)
+    # gram is symmetric: upper-triangle column sums are lower-triangle row sums
+    upper = np.triu(gram, band + 1)
+    sums = upper.sum(axis=1) + upper.sum(axis=0)
     grand = float(sums.sum() / total)
     row = np.where(counts > 0, sums / np.maximum(counts, 1), grand)
-    return gram - row[:, None] - row[None, :] + grand
+    return gram - np.add.outer(row, row) + grand
 
 
 def _trace_raw(gram: np.ndarray, h1: int, h2: int, sep: int) -> float:
-    """Average of G[s, t+h2] * G[s+h1, t] over group-separated (s, t) pairs."""
+    """Average of G[s, t+h2] * G[s+h1, t] over group-separated (s, t) pairs.
+
+    Separation depends on t - s alone, so on the (s, t) grid the admissible
+    pairs are the triangles above offset sep+|h1|+1 and below -(sep+|h2|+1),
+    each of q(q+1)/2 pairs.
+    """
     n = gram.shape[0]
-    s_lo, s_hi = max(0, -h1), n - 1 - max(0, h1)
-    t_lo, t_hi = max(0, -h2), n - 1 - max(0, h2)
-    if s_lo > s_hi or t_lo > t_hi:
+    q = n - abs(h1) - abs(h2) - sep - 1
+    if q <= 0:
         raise InsufficientTrainingError(
             f"no admissible index pairs for lags ({h1}, {h2}) with separation {sep}; "
             f"need n0 >= {abs(h1) + abs(h2) + sep + 2}"
         )
-    s = np.arange(s_lo, s_hi + 1)
-    t = np.arange(t_lo, t_hi + 1)
-    ds = t[None, :] - s[:, None]
-    mask = (ds > sep + max(0, h1) - min(0, h2)) | (-ds > sep + max(0, h2) - min(0, h1))
-    n_star = int(mask.sum())
-    if n_star == 0:
-        raise InsufficientTrainingError(
-            f"no admissible index pairs for lags ({h1}, {h2}) with separation {sep}; "
-            f"need n0 >= {abs(h1) + abs(h2) + sep + 2}"
-        )
-    terms = gram[np.ix_(s, t + h2)] * gram[np.ix_(s + h1, t)]
-    return float(terms[mask].sum() / n_star)
+    s_lo, s_end = max(0, -h1), n - max(0, h1)
+    t_lo, t_end = max(0, -h2), n - max(0, h2)
+    terms = gram[s_lo:s_end, t_lo + h2:t_end + h2] * gram[s_lo + h1:s_end + h1, t_lo:t_end]
+    pairs = np.triu(terms, sep + abs(h1) + 1).sum() + np.tril(terms, -sep - abs(h2) - 1).sum()
+    return float(pairs / (q * (q + 1)))
 
 
 def estimate_trace_cross(
@@ -200,8 +204,11 @@ def estimate_trace_cross(
     dep_order sets the separation rule: the index groups {s, s+h1} and
     {t, t+h2} must be more than dep_order apart.  With recenter=True the
     off-band sample-mean offset is removed first (see _offband_recentered);
-    the default keeps the plain average of centered products.
+    the default keeps the plain average of centered products.  fit_training,
+    the order scan and the null sd all use the re-centered form.
     """
+    if dep_order < 0:
+        raise ConfigurationError(f"dep_order must be >= 0, got {dep_order}")
     x = _as_matrix(train)
     gram = _centered_gram(x, mean)
     if recenter:

@@ -80,12 +80,10 @@ def profile_weight_matrix(t: int, length: int, dep_order: int) -> np.ndarray:
     n, m = length, dep_order
     _check_split(t, n, m)
     alpha, beta, gamma = _split_coefficients(t, n, m)
-    idx = np.arange(1, n + 1)
-    left = idx <= t
-    same_side = left[:, None] == left[None, :]
-    a = np.where(same_side, np.where(left, alpha, beta)[:, None], -gamma)
-    band = np.abs(idx[:, None] - idx[None, :]) >= m + 1
-    return np.where(band, a, 0.0)
+    a = np.full((n, n), -gamma)
+    a[:t, :t] = alpha
+    a[t:, t:] = beta
+    return np.triu(a, m + 1) + np.tril(a, -m - 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -222,6 +222,23 @@ def test_cli_monitor_dimension_mismatch_exits_one(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_monitor_rejects_unusable_summary(tmp_path, capsys):
+    train_csv, stream_csv, summary_path = setup_monitoring(tmp_path)
+    payload = json.loads(summary_path.read_text())
+    missing_sd = {k: v for k, v in payload.items() if k != "null_sd"}
+    for field, bad_payload in [("null_sd", {**payload, "null_sd": float("nan")}),
+                               ("null_sd", {**payload, "null_sd": 0.0}),
+                               ("null_sd", missing_sd),
+                               ("mean", {**payload, "mean": payload["mean"][:-1]})]:
+        bad = tmp_path / "bad_summary.json"
+        bad.write_text(json.dumps(bad_payload))
+        capsys.readouterr()
+        rc = main(["monitor", "--summary", str(bad), "--a", "3.0", "--csv", str(stream_csv)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("covshift: error:") and field in err
+
+
 def test_cli_monitor_requires_exactly_one_level():
     with pytest.raises(SystemExit) as exc:
         main(["monitor", "--summary", "s.json"])

@@ -17,6 +17,7 @@ from covshift import (
     profile_statistic,
     statistic_batch,
 )
+from covshift.detector import _LOCALIZE_BLOCK
 from covshift.errors import ConfigurationError, DataError, DetectorFinishedError
 
 
@@ -197,13 +198,24 @@ def test_localize_is_earliest_argmax_of_dense_profile():
     # localize's cumulative-sum profile against profile_statistic's dense
     # per-split weights, over every admissible split
     rng = np.random.default_rng(41)
-    for n, p, m, tau in [(30, 4, 0, None), (33, 3, 1, None), (36, 5, 2, None), (40, 6, 1, 22)]:
+    # the last case spans more than two of localize's row blocks
+    cases = [(30, 4, 0, None), (33, 3, 1, None), (36, 5, 2, None), (40, 6, 1, 22),
+             (2 * _LOCALIZE_BLOCK + 37, 3, 2, 300)]
+    for n, p, m, tau in cases:
         x = rng.standard_normal((n, p))
         if tau is not None:
             x[tau:] *= 2.0
         summary = SimpleNamespace(mean=rng.standard_normal(p) * 0.1, p=p, dep_order=m)
         profile = [profile_statistic(x, summary.mean, m, t) for t in range(m + 2, n - m - 1)]
         assert localize(x, summary) == m + 2 + int(np.argmax(profile))
+
+
+def test_localize_rejects_bad_summary_mean():
+    x = np.random.default_rng(2).standard_normal((30, 3))
+    with pytest.raises(DataError, match="non-finite"):
+        localize(x, SimpleNamespace(mean=np.array([np.nan, 0.0, 0.0]), p=3, dep_order=0))
+    with pytest.raises(DataError, match="shape"):
+        localize(x, SimpleNamespace(mean=np.zeros(2), p=3, dep_order=0))
 
 
 def test_localize_tie_breaks_to_earliest_candidate():

@@ -131,6 +131,13 @@ def test_dimension_mismatch_raises():
         statistic_batch(np.zeros(10), np.zeros(1), plan)
 
 
+def test_non_finite_mean_is_rejected():
+    with pytest.raises(DataError, match="non-finite"):
+        WindowState(3).push(np.ones(2), [np.nan, 0.0])
+    with pytest.raises(DataError, match="non-finite"):
+        statistic_batch(np.ones((5, 2)), [np.nan, 0.0], build_weight_plan(5, 0))
+
+
 def test_window_state_basic_push():
     state = WindowState(4)
     state.push(np.array([1.0, 2.0]), np.zeros(2))

@@ -52,6 +52,64 @@ def test_trace_requires_enough_rows():
     assert "n0" in str(err.value)
 
 
+def brute_trace_cross(x, mean, h1, h2, sep, recenter):
+    """Double-loop oracle: average of G[s, t+h2] * G[s+h1, t] over (s, t) whose
+    groups {s, s+h1} and {t, t+h2} lie more than sep apart, one wholly before
+    the other."""
+    xc = np.asarray(x, dtype=float) - mean
+    n = xc.shape[0]
+    g = [[float(xc[i] @ xc[j]) for j in range(n)] for i in range(n)]
+    if recenter:
+        far = [[j for j in range(n) if abs(i - j) > sep] for i in range(n)]
+        grand = sum(g[i][j] for i in range(n) for j in far[i]) / sum(map(len, far))
+        row = [sum(g[i][j] for j in far[i]) / len(far[i]) if far[i] else grand for i in range(n)]
+        g = [[g[i][j] - row[i] - row[j] + grand for j in range(n)] for i in range(n)]
+    total, count = 0.0, 0
+    for s in range(n):
+        for t in range(n):
+            gs, gt = (s, s + h1), (t, t + h2)
+            if min(gs + gt) < 0 or max(gs + gt) >= n:
+                continue
+            if max(gs) + sep < min(gt) or max(gt) + sep < min(gs):
+                total += g[s][t + h2] * g[s + h1][t]
+                count += 1
+    return total / count
+
+
+def test_trace_cross_matches_brute_force_oracle():
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((14, 3))
+    mean = x.mean(axis=0) + 0.1
+    scale = float(np.max(np.abs((x - mean) @ (x - mean).T))) ** 2
+    for sep in (0, 1, 2):
+        for h1 in range(-2, 3):
+            for h2 in range(-2, 3):
+                for recenter in (False, True):
+                    want = brute_trace_cross(x, mean, h1, h2, sep, recenter)
+                    got = estimate_trace_cross(x, mean, h1, h2, sep, recenter=recenter)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+
+
+def test_trace_row_count_boundary():
+    rng = np.random.default_rng(18)
+    for sep in (0, 1, 2):
+        for h1 in range(-2, 3):
+            for h2 in range(-2, 3):
+                short = abs(h1) + abs(h2) + sep + 1
+                x = rng.standard_normal((short + 1, 2))
+                for recenter in (False, True):
+                    with pytest.raises(InsufficientTrainingError, match=f"n0 >= {short + 1}"):
+                        estimate_trace_cross(x[:short], np.zeros(2), h1, h2, sep, recenter)
+                    got = estimate_trace_cross(x, np.zeros(2), h1, h2, sep, recenter)
+                    want = brute_trace_cross(x, np.zeros(2), h1, h2, sep, recenter)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_trace_rejects_negative_dep_order():
+    with pytest.raises(ConfigurationError):
+        estimate_trace_cross(np.ones((10, 2)), np.zeros(2), 0, 0, -1)
+
+
 def test_trace_symmetrized_in_table():
     rng = np.random.default_rng(8)
     x = gen_stream(GeneratorSpec(p=30, dep_order=1), 120, 4)
