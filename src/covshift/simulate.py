@@ -6,10 +6,17 @@ loading matrix B is swapped for Q while the innovation stream continues
 uninterrupted.  Closed-form population quantities (lag traces, null standard
 deviation, change norms) are available for the identity base, so Monte Carlo
 results can be compared against theory without estimation noise.
+
+The loading factors that need no random draws (the AR(1) Toeplitz factor
+behind model "a" and the "toeplitz06" base, and the model "c"
+equicorrelation factor) are computed once per (p, rho), kept in a small
+bounded cache and returned read-only, so every generator with the same
+(p, rho) shares one array.  Model "b" draws a fresh Q on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -44,6 +51,15 @@ __all__ = [
 _MODELS = ("a", "b", "c")
 _INNOVATIONS = ("gaussian", "student_t8")
 _BASES = ("identity", "toeplitz06")
+
+# Distinct (p, rho) factors kept per cache; a p=1000 factor is 8 MB.
+_FACTOR_CACHE_SIZE = 4
+
+# Monte Carlo runs take post-training rows in blocks that double from
+# _TAKE_FIRST up to _TAKE_CAP, so a run that stops early generates few rows
+# it never reads and a long run still takes few, large blocks.
+_TAKE_FIRST = 16
+_TAKE_CAP = 256
 
 
 @dataclass(frozen=True)
@@ -96,38 +112,65 @@ class GeneratorSpec:
             )
 
 
+@functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
+def _toeplitz_factor(p: int, rho: float) -> np.ndarray:
+    """Lower Cholesky factor of the AR(1) Toeplitz matrix rho^|i-j|."""
+    factor = cholesky(toeplitz(rho ** np.arange(p)), lower=True)
+    factor.setflags(write=False)
+    return factor
+
+
+@functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
+def _equicorrelation_factor(p: int, rho: float) -> np.ndarray:
+    """Lower Cholesky factor of the unit-diagonal, constant-rho matrix."""
+    sigma = np.full((p, p), rho)
+    np.fill_diagonal(sigma, 1.0)
+    factor = cholesky(sigma, lower=True)
+    factor.setflags(write=False)
+    return factor
+
+
 def _base_matrix(name: str, p: int) -> Optional[np.ndarray]:
     """Loading matrix for a named pre-change base; None means identity."""
     if name == "identity":
         return None
-    first = 0.6 ** np.arange(p)
-    return cholesky(toeplitz(first), lower=True)
+    return _toeplitz_factor(p, 0.6)
 
 
-def build_q(model: str, p: int, rho: float, rng: np.random.Generator) -> np.ndarray:
-    """Post-change loading matrix Q for the given change model."""
+def _check_change(model: str, p: int, rho: float) -> None:
+    """Reject a change model, or a rho outside that model's domain at p."""
     if model == "a":
         if not abs(rho) < 1:
             raise ConfigurationError(f"model 'a' needs |rho| < 1, got {rho}")
-        return cholesky(toeplitz(rho ** np.arange(p)), lower=True)
-    if model == "b":
-        if rho < 0:
+    elif model == "b":
+        if not rho >= 0:
             raise ConfigurationError(f"model 'b' needs rho >= 0, got {rho}")
-        q = np.eye(p)
-        for i in range(p):
-            cols = rng.choice(p, size=min(3, p), replace=False)
-            signs = rng.choice([-1.0, 1.0], size=cols.shape[0])
-            q[i, cols] += rho * signs
-        return q
-    if model == "c":
+    elif model == "c":
         if not (-1.0 / max(p - 1, 1) < rho < 1.0):
             raise ConfigurationError(
                 f"model 'c' needs -1/(p-1) < rho < 1, got {rho}"
             )
-        sigma = np.full((p, p), rho)
-        np.fill_diagonal(sigma, 1.0)
-        return cholesky(sigma, lower=True)
-    raise ConfigurationError(f"model must be one of {_MODELS}, got {model!r}")
+    else:
+        raise ConfigurationError(f"model must be one of {_MODELS}, got {model!r}")
+
+
+def build_q(model: str, p: int, rho: float, rng: np.random.Generator) -> np.ndarray:
+    """Post-change loading matrix Q for the given change model.
+
+    Models "a" and "c" return a cached read-only factor, shared by every call
+    with the same (p, rho); model "b" draws a fresh Q from rng.
+    """
+    _check_change(model, p, rho)
+    if model == "a":
+        return _toeplitz_factor(p, float(rho))
+    if model == "c":
+        return _equicorrelation_factor(p, float(rho))
+    q = np.eye(p)
+    for i in range(p):
+        cols = rng.choice(p, size=min(3, p), replace=False)
+        signs = rng.choice([-1.0, 1.0], size=cols.shape[0])
+        q[i, cols] += rho * signs
+    return q
 
 
 def ma_coefficients(dep_order: int) -> np.ndarray:
@@ -175,19 +218,19 @@ def change_norm_frobenius(
     """Frobenius norm of the covariance change for an identity pre-base.
 
     Models "a" and "c" have closed forms; model "b" needs the realized Q.
+    The (model, p, rho) domain is the one build_q accepts.
     """
+    _check_change(model, p, rho)
     factor = ma_variance_factor(dep_order)
     if model == "a":
         d = np.arange(1, p)
         return factor * math.sqrt(2.0 * float((p - d) @ rho ** (2.0 * d)))
     if model == "c":
         return factor * rho * math.sqrt(p * (p - 1))
-    if model == "b":
-        if q is None:
-            raise ConfigurationError("model 'b' change norm needs the realized Q")
-        delta = q @ q.T - np.eye(q.shape[0])
-        return factor * float(np.linalg.norm(delta, "fro"))
-    raise ConfigurationError(f"model must be one of {_MODELS}, got {model!r}")
+    if q is None:
+        raise ConfigurationError("model 'b' change norm needs the realized Q")
+    delta = q @ q.T - np.eye(q.shape[0])
+    return factor * float(np.linalg.norm(delta, "fro"))
 
 
 class StreamGenerator:
@@ -313,8 +356,11 @@ class McResult:
 def _run_replicates(fn: Callable[[int], float], replicates: int, workers: int) -> list:
     if workers <= 1:
         return [fn(r) for r in range(replicates)]
+    # replicate 0 fills the loading-factor caches before the pool starts, so
+    # the workers do not all miss at once and factor the same matrix
+    first = fn(0)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(replicates)))
+        return [first, *pool.map(fn, range(1, replicates))]
 
 
 def _one_run(
@@ -340,9 +386,10 @@ def _one_run(
     )
     summary = fit_training(train, config)
     det = Detector(summary, DetectorConfig(window=window, threshold=threshold))
-    chunk = 128
+    chunk = _TAKE_FIRST
     while det.steps < max_steps:
         block = gen.take(min(chunk, max_steps - det.steps))
+        chunk = min(2 * chunk, _TAKE_CAP)
         for row in block:
             result = det.step(row)
             if result.state == "alarm":

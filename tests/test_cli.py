@@ -283,6 +283,22 @@ def test_cli_simulate_edd_with_replicates(tmp_path, capsys):
     assert capsys.readouterr().out == out1  # byte-identical rerun
 
 
+def test_cli_simulate_edd_rejects_rho_outside_model_domain(tmp_path, capsys):
+    # the delay bound (replicates 0) and the Monte Carlo run reject it alike
+    for replicates in (0, 2):
+        scenario = tmp_path / "edd.json"
+        scenario.write_text(json.dumps({
+            "kind": "edd", "p": 30, "dep_order": 0, "window": 20,
+            "threshold": 3.0, "model": "a", "rho": 1.5,
+            "recipe": {"n0": 40}, "replicates": replicates,
+        }))
+        rc = main(["simulate", "--scenario", str(scenario)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "rho" in captured.err
+
+
 def test_cli_simulate_m_selection(tmp_path, capsys):
     scenario = tmp_path / "msel.json"
     scenario.write_text(json.dumps({

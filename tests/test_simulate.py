@@ -5,6 +5,8 @@ import pytest
 from scipy.linalg import toeplitz
 
 from covshift import (
+    Detector,
+    DetectorConfig,
     FitConfig,
     GeneratorSpec,
     PostChange,
@@ -23,6 +25,7 @@ from covshift import (
     population_null_sd,
 )
 from covshift.errors import ConfigurationError
+from covshift.simulate import _equicorrelation_factor, _one_run, _toeplitz_factor
 
 
 def test_ma_coefficient_values():
@@ -114,11 +117,43 @@ def test_build_q_model_b_perturbs_three_entries_per_row():
 
 
 def test_build_q_validates_rho():
+    # build_q and change_norm_frobenius reject the same (model, p, rho)
     rng = np.random.default_rng(0)
-    with pytest.raises(ConfigurationError):
-        build_q("a", 10, 1.0, rng)
-    with pytest.raises(ConfigurationError):
-        build_q("c", 10, -0.5, rng)
+    for model, p, rho in [("a", 10, 1.0), ("a", 10, 1.5), ("a", 10, -1.0),
+                          ("b", 10, -0.1), ("b", 10, math.nan),
+                          ("c", 10, -0.5), ("c", 10, 1.0),
+                          ("d", 10, 0.5)]:
+        if model in ("a", "b", "c"):
+            build_q(model, p, 0.3, rng)  # a valid call with the same p first
+        for _ in range(2):  # a rejected key is never cached
+            with pytest.raises(ConfigurationError):
+                build_q(model, p, rho, rng)
+        with pytest.raises(ConfigurationError):
+            change_norm_frobenius(model, p, rho, 0, q=np.eye(p))
+
+
+def test_cached_factors_are_shared_and_read_only():
+    for model, rho in [("a", 0.45), ("c", 0.35)]:
+        spec = GeneratorSpec(p=25, dep_order=0, pre_base="toeplitz06",
+                             post_change=PostChange(model, rho, change_at=10))
+        g1, g2 = StreamGenerator(spec, 1), StreamGenerator(spec, 2)
+        assert g1.q is g2.q
+        assert g1._base is g2._base
+        for factor in (g1.q, g1._base):
+            with pytest.raises(ValueError):
+                factor[0, 0] = 2.0
+    spec_b = GeneratorSpec(p=25, dep_order=0, post_change=PostChange("b", 0.3, change_at=10))
+    assert not np.array_equal(StreamGenerator(spec_b, 1).q, StreamGenerator(spec_b, 2).q)
+
+
+def test_factor_caches_stay_bounded():
+    rng = np.random.default_rng(0)
+    for model, cache in [("a", _toeplitz_factor), ("c", _equicorrelation_factor)]:
+        maxsize = cache.cache_info().maxsize
+        for i in range(maxsize + 3):
+            build_q(model, 5 + i, 0.25, rng)
+        info = cache.cache_info()
+        assert 0 < info.currsize <= maxsize
 
 
 def test_change_norm_closed_forms():
@@ -200,6 +235,13 @@ def test_worker_count_does_not_change_results():
     assert mc1.mean == mc3.mean
 
 
+def test_parallel_replicates_factor_the_loading_matrix_once():
+    spec = GeneratorSpec(p=300, dep_order=0, post_change=PostChange("a", 0.55, change_at=60))
+    before = _toeplitz_factor.cache_info().misses
+    monte_carlo_edd(spec, TrainingRecipe(n0=60), 3.0, 20, replicates=8, seed=1, workers=4)
+    assert _toeplitz_factor.cache_info().misses - before == 1
+
+
 def test_censoring_counts_and_unreliable_flag():
     # (p, n0, threshold, window, max_steps, seed, censored): no replicate alarms
     # in the first case; in the second every one alarms on the last allowed step
@@ -236,6 +278,49 @@ def test_dep_order_study_counts():
     counts = dep_order_study(1, p=150, n0=200, replicates=12, seed=3)
     assert sum(counts.values()) == 12
     assert counts.get(1, 0) >= 10
+
+
+def test_monte_carlo_stopping_times_are_pinned():
+    # Exact stopping times for fixed seeds: the block sizes rows are taken in
+    # and the caching of loading factors must not move any of them.
+    edd_spec = GeneratorSpec(p=60, dep_order=0, post_change=PostChange("a", 0.6, change_at=80))
+    edd = monte_carlo_edd(edd_spec, TrainingRecipe(n0=80), 3.0, 30, replicates=6, seed=11)
+    assert edd.values.tolist() == [12, 17, 31, 5, 17, 13]
+    assert edd.censored == 0
+    # runs longer than 16 + 32 + 64 rows span several take blocks
+    arl_spec = GeneratorSpec(p=20, dep_order=1, pre_base="toeplitz06")
+    arl = monte_carlo_arl(arl_spec, TrainingRecipe(n0=60), threshold=5.0, window=20,
+                          replicates=6, max_steps=3000, seed=4)
+    assert arl.values.tolist() == [399, 609, 1462, 321, 151, 304]
+    assert arl.censored == 0
+    assert dep_order_study(2, p=30, n0=80, replicates=10, seed=2) == {2: 3, 1: 7}
+
+
+def test_one_run_matches_row_at_a_time_reference():
+    # (spec, n0, threshold, window, max_steps); the first spec's runs stop
+    # after several take blocks or hit the cap, the second's stop early
+    cases = [
+        (GeneratorSpec(p=20, dep_order=1, pre_base="toeplitz06"), 60, 5.0, 20, 700),
+        (GeneratorSpec(p=40, dep_order=2, post_change=PostChange("a", 0.6, change_at=80)),
+         80, 3.0, 30, 300),
+    ]
+    for spec, n0, threshold, window, max_steps in cases:
+        recipe = TrainingRecipe(n0=n0)
+        for rep in range(4):
+            x = gen_stream(spec, n0 + max_steps, (4, rep))
+            config = FitConfig(window=window, alpha=recipe.alpha, epsilon=recipe.epsilon,
+                               dep_order_override=spec.dep_order,
+                               max_order=recipe.max_order)
+            det = Detector(fit_training(x[:n0], config),
+                           DetectorConfig(window=window, threshold=threshold))
+            want = (max_steps, False)
+            for row in x[n0:]:
+                result = det.step(row)
+                if result.state == "alarm":
+                    want = (result.stopping_time, True)
+                    break
+            got = _one_run(spec, recipe, threshold, window, max_steps, 4, rep)
+            assert got == want, (spec, rep)
 
 
 def test_training_recipe_validation_and_override():
