@@ -67,7 +67,6 @@ from .weights import (
     build_weight_plan,
     lag_weight_sums,
     profile_weight,
-    profile_weight_matrix,
 )
 
 __version__ = "0.1.0"
@@ -79,7 +78,6 @@ __all__ = [
     "build_weight_plan",
     "lag_weight_sums",
     "profile_weight",
-    "profile_weight_matrix",
     # statistics
     "WindowState",
     "profile_statistic",

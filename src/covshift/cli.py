@@ -153,6 +153,9 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             raise DataError(
                 f"--train-csv has {train_rows.shape[1]} columns, expected {summary.p}"
             )
+        if train_rows.shape[0] != summary.n0:
+            raise DataError(f"--train-csv has {train_rows.shape[0]} rows, but the "
+                            f"summary was trained on {summary.n0}")
         prime = train_rows[-(summary.window - 1) :] if summary.window > 1 else None
     detector = Detector(summary, config, prime=prime)
     consumed: list = []

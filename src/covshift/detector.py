@@ -15,9 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DataError, DetectorFinishedError
-from .stats import WindowState, statistic_windowed, _as_matrix, _check_mean
+from .stats import WindowState, statistic_windowed, _as_matrix, _check_mean, _split_profile
 from .training import TrainingSummary
-from .weights import _split_coefficients, build_weight_plan
+from .weights import build_weight_plan
 
 __all__ = [
     "DetectorConfig",
@@ -27,32 +27,22 @@ __all__ = [
     "localize",
 ]
 
-# rows of the squared Gram matrix that localize holds at once
-_LOCALIZE_BLOCK = 256
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
     """Monitoring parameters.
 
     window: rolling window length H.
     threshold: alarm level for the standardized statistic.
-    evaluate_from: first post-training index eligible for an alarm.
     """
 
     window: int
     threshold: float
-    evaluate_from: int = 1
 
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ConfigurationError(f"window must be >= 1, got {self.window}")
         if self.threshold <= 0:
             raise ConfigurationError(f"threshold must be > 0, got {self.threshold}")
-        if self.evaluate_from < 1:
-            raise ConfigurationError(
-                f"evaluate_from must be >= 1, got {self.evaluate_from}"
-            )
 
 
 @dataclass(frozen=True)
@@ -160,7 +150,7 @@ class Detector:
             raise DataError("observation contains non-finite values")
         self._steps += 1
         self._state._store(x - self._mean)
-        if not self._state.full or self._steps < self.config.evaluate_from:
+        if not self._state.full:
             return StepResult(self._steps, "filling", None, None)
         raw = statistic_windowed(self._state, self.plan)
         std_stat = float(raw / self.summary.null_sd)
@@ -174,10 +164,15 @@ class Detector:
 
     def build_report(self, history=None) -> DetectionReport:
         """Assemble a DetectionReport; pass the full observed stream (training
-        plus monitoring rows) as history to include a change-point estimate."""
+        plus monitoring rows, n0 + steps in all) as history to include a
+        change-point estimate."""
         tau_hat = None
         delay = None
         if history is not None:
+            expected = self.summary.n0 + self._steps
+            if len(history) != expected:
+                raise DataError(f"history has {len(history)} rows, expected "
+                                f"n0 + steps = {expected}")
             tau_hat = localize(history, self.summary)
             if tau_hat is not None and self._stopping_time is not None:
                 delay = self.summary.n0 + self._stopping_time - tau_hat
@@ -199,8 +194,8 @@ def localize(history, summary: TrainingSummary) -> Optional[int]:
     stream is too short to admit any candidate.  Ties pick the earliest
     candidate.
 
-    O(n^2 * p) work and O(n) memory beyond the history: the off-band
-    squared Gram is reduced to row and column sums a block of rows at a time.
+    O(n^2 * p) work and O(n) memory beyond the history (see
+    stats._split_profile).
     """
     x = _as_matrix(np.asarray(history, dtype=np.float64), "history")
     if x.shape[1] != summary.p:
@@ -208,26 +203,7 @@ def localize(history, summary: TrainingSummary) -> Optional[int]:
             f"history has {x.shape[1]} columns, expected {summary.p}"
         )
     m = summary.dep_order
-    n = x.shape[0]
-    t_lo, t_hi = m + 2, n - m - 2
-    if t_hi < t_lo:
+    if x.shape[0] < 2 * m + 4:  # no split in [M+2, n-M-2]
         return None
-    xc = x - _check_mean(summary.mean, summary.p)
-    # row[i] = sum_{j < i-m} G(i,j)^2 and col[j] = sum_{i > j+m} G(i,j)^2
-    row = np.zeros(n)
-    col = np.zeros(n)
-    for i0 in range(m + 1, n, _LOCALIZE_BLOCK):
-        i1 = min(i0 + _LOCALIZE_BLOCK, n)
-        sq = np.tril((xc[i0:i1] @ xc[:i1 - m - 1].T) ** 2, i0 - m - 1)
-        row[i0:i1] = sq.sum(axis=1)
-        col[:i1 - m - 1] += sq.sum(axis=0)
-    total = 2.0 * row.sum()
-
-    ts = np.arange(t_lo, t_hi + 1)
-    p_block = 2.0 * np.cumsum(row)[ts - 1]
-    s_block = total - 2.0 * np.cumsum(col)[ts - 1]
-    x_block = total - p_block - s_block
-
-    alpha, beta, gamma = _split_coefficients(ts, n, m)
-    profile = (alpha * p_block + beta * s_block - gamma * x_block) / float(n) ** 2
+    ts, profile = _split_profile(x - _check_mean(summary.mean, summary.p), m)
     return int(ts[int(np.argmax(profile))])

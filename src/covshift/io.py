@@ -38,9 +38,10 @@ def read_csv_matrix(path: str) -> np.ndarray:
     """Load a CSV file of observations into a (n, p) float array.
 
     The first row is treated as a header when any of its cells is not a
-    number.  Rows must all have the same number of columns.
+    number.  Rows must all have the same number of columns, and every cell
+    must be finite.
     """
-    rows = []
+    rows, lines = [], []  # parsed rows and their file row numbers
     width = None
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -50,21 +51,27 @@ def read_csv_matrix(path: str) -> np.ndarray:
             if width is None:
                 width = len(record)
                 try:
-                    first = [float(cell) for cell in record]
+                    list(map(float, record))
                 except ValueError:
                     continue  # header row
-                rows.append(first)
-                continue
-            if len(record) != width:
+            elif len(record) != width:
                 raise DataError(
                     f"row {index} has {len(record)} columns, expected {width}"
                 )
             rows.append(
                 [_parse_cell(cell, index, col) for col, cell in enumerate(record, 1)]
             )
+            lines.append(index)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    data = np.asarray(rows, dtype=np.float64)
+    finite = np.isfinite(data)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise DataError(
+            f"row {lines[r]}, column {c + 1}: {data[r, c]} is not a finite number"
+        )
+    return data
 
 
 def read_jsonl_stream(handle: IO[str]) -> Iterator[np.ndarray]:
@@ -79,16 +86,14 @@ def read_jsonl_stream(handle: IO[str]) -> Iterator[np.ndarray]:
             raise DataError(f"line {index}: invalid JSON ({exc.msg})") from None
         if not isinstance(record, dict) or "x" not in record:
             raise DataError(f'line {index}: expected an object with an "x" field')
-        x = record["x"]
-        if not isinstance(x, list):
-            raise DataError(f'line {index}: "x" must be a list of numbers')
         try:
-            vec = np.asarray(x, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise DataError(f'line {index}: "x" must be a list of numbers') from None
-        if vec.ndim != 1:
-            raise DataError(f'line {index}: "x" must be a flat list')
-        yield vec
+            vec = np.asarray(record["x"])
+        except ValueError:  # ragged nesting
+            vec = np.asarray(None)
+        # scalars, nesting, strings, booleans and nulls all fail this one check
+        if vec.ndim != 1 or vec.dtype.kind not in "iuf":
+            raise DataError(f'line {index}: "x" must be a flat list of numbers')
+        yield vec.astype(np.float64, copy=False)
 
 
 def save_summary(summary: TrainingSummary, path: str) -> None:

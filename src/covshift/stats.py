@@ -6,7 +6,8 @@ covariance instability (mean zero under a stable stream), and with a single
 split's weights it profiles where a change happened.  The sliding-window form
 keeps the pairwise products cached in time order, so each new observation
 costs O(H * p) for its new products plus O(H^2) to shift the cache and
-contract it with the weights.
+contract it with the weights.  The split profile reduces the squared Gram to
+row and column sums a block of rows at a time: O(n) memory for all splits.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, DataError
-from .weights import WeightPlan, profile_weight_matrix
+from .weights import WeightPlan, _check_split, _split_coefficients
 
 __all__ = [
     "statistic_batch",
@@ -22,6 +23,9 @@ __all__ = [
     "WindowState",
     "statistic_windowed",
 ]
+
+# rows of the squared Gram matrix that _split_profile holds at once
+_PROFILE_BLOCK = 256
 
 
 def _as_matrix(obs, name: str = "observations") -> np.ndarray:
@@ -61,19 +65,44 @@ def statistic_batch(obs, mean, plan: WeightPlan) -> float:
     return _statistic_from_gram(xc @ xc.T, plan)
 
 
+def _split_profile(xc: np.ndarray, dep_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Splits t = M+2 .. n-M-2 of centered rows and the statistic at each.
+
+    Each off-band pair sits on one side of t or straddles it, so its squared
+    product is weighted alpha_t, beta_t or -gamma_t; the three sums are prefix
+    and suffix sums of row and col.  The right sum is a suffix sum because
+    total - prefix would lose ~n^2 ulps where it is small and beta_t ~ n.
+    """
+    m = dep_order
+    n = xc.shape[0]
+    row = np.zeros(n)  # row[i] = sum_{j < i-M} G(i,j)^2
+    col = np.zeros(n)  # col[j] = sum_{i > j+M} G(i,j)^2
+    for i0 in range(m + 1, n, _PROFILE_BLOCK):
+        i1 = min(i0 + _PROFILE_BLOCK, n)
+        sq = np.tril((xc[i0:i1] @ xc[:i1 - m - 1].T) ** 2, i0 - m - 1)
+        row[i0:i1] = sq.sum(axis=1)
+        col[:i1 - m - 1] += sq.sum(axis=0)
+
+    ts = np.arange(m + 2, n - m - 1)
+    left = np.cumsum(row)[ts - 1]            # both indices <= t
+    cross = np.cumsum(col)[ts - 1] - left    # lower index <= t < upper
+    right = np.cumsum(col[::-1])[::-1][ts]   # both indices > t
+    alpha, beta, gamma = _split_coefficients(ts, n, m)
+    return ts, 2.0 * (alpha * left + beta * right - gamma * cross) / float(n) ** 2
+
+
 def profile_statistic(obs, mean, dep_order: int, t: int) -> float:
     """Single-split statistic: the batch form with the split-t weights.
 
     t is the (1-based) length of the first segment; valid splits are
     dep_order+2 <= t <= n-dep_order-2.  Under a change the expected profile
-    peaks at the true split.
+    peaks at the true split.  O(n^2 * p) work and O(n) memory beyond obs.
     """
     x = _as_matrix(obs)
     n, p = x.shape
-    a = profile_weight_matrix(t, n, dep_order)
-    xc = x - _check_mean(mean, p)
-    gram = xc @ xc.T
-    return float((a * gram**2).sum() / n**2)
+    _check_split(t, n, dep_order)
+    ts, profile = _split_profile(x - _check_mean(mean, p), dep_order)
+    return float(profile[t - ts[0]])
 
 
 class WindowState:
@@ -128,12 +157,6 @@ class WindowState:
         g[filled - 1, :filled] = sq
         g[:filled, filled - 1] = sq
         return self
-
-    def contents(self) -> np.ndarray:
-        """Centered window contents in chronological order (copy)."""
-        if self._buf is None:
-            return np.zeros((0, 0))
-        return np.roll(self._buf[:min(self.count, self.capacity)], -self.count, axis=0)
 
     @property
     def full(self) -> bool:

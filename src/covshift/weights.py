@@ -5,8 +5,8 @@ three-branch weight A_t(i, j): pairs on the same side of the split get a
 positive weight, pairs straddling it a negative one, with denominators chosen
 so each banded t-slice sums to zero exactly.  Summing the slices over
 t = M+2 ... n-M-2 and zeroing the band |i-j| <= M gives the weight matrix W
-used by the batch and windowed statistics; a single split's banded slice is
-the profile weight used for change-point localization.
+used by the batch and windowed statistics.  A single split's slice, constant
+on three blocks, weights the localization profile (stats._split_profile).
 
 M is the dependence order of the stream: observations more than M steps apart
 are assumed independent, and the band removes the pairs whose products carry
@@ -73,17 +73,6 @@ def profile_weight(t: int, i: int, j: int, length: int, dep_order: int) -> float
     if min(i, j) > t:
         return beta
     return -gamma
-
-
-def profile_weight_matrix(t: int, length: int, dep_order: int) -> np.ndarray:
-    """Banded slice A_t(i, j) * 1{|i-j| >= dep_order+1} as an n x n matrix."""
-    n, m = length, dep_order
-    _check_split(t, n, m)
-    alpha, beta, gamma = _split_coefficients(t, n, m)
-    a = np.full((n, n), -gamma)
-    a[:t, :t] = alpha
-    a[t:, t:] = beta
-    return np.triu(a, m + 1) + np.tril(a, -m - 1)
 
 
 @dataclass(frozen=True, eq=False)

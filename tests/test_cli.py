@@ -52,6 +52,15 @@ def test_read_csv_matrix_names_bad_cell(tmp_path):
     assert "row 2" in str(err.value) and "column 2" in str(err.value)
 
 
+def test_read_csv_matrix_names_non_finite_cell(tmp_path):
+    for cell in ("nan", "inf", "-Infinity"):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"a,b\n1.0,2.0\n\n3.0,4.0\n5.0,{cell}\n")
+        with pytest.raises(DataError) as err:
+            read_csv_matrix(str(path))
+        assert "row 5, column 2" in str(err.value)
+
+
 def test_read_csv_matrix_rejects_ragged_rows(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("1.0,2.0\n3.0\n")
@@ -70,6 +79,17 @@ def test_read_jsonl_stream_parses_and_validates():
     assert "line 1" in str(err.value)
     with pytest.raises(DataError):
         list(read_jsonl_stream(io.StringIO("not json\n")))
+
+
+def test_read_jsonl_stream_rejects_non_numeric_elements():
+    good = '{"t": 0, "x": [1, 2.5]}\n'
+    assert np.array_equal(next(read_jsonl_stream(io.StringIO(good))), [1.0, 2.5])
+    for x in ('["1", "2e3"]', "[true, null]", "[true, false]", "[1, null]",
+              "[[1], [2, 3]]", "[[1, 2], [3, 4]]"):
+        lines = good + '{"t": 1, "x": ' + x + "}\n"
+        with pytest.raises(DataError) as err:
+            list(read_jsonl_stream(io.StringIO(lines)))
+        assert "line 2" in str(err.value)
 
 
 def test_summary_save_load_round_trip(tmp_path):
@@ -220,6 +240,21 @@ def test_cli_monitor_dimension_mismatch_exits_one(tmp_path, capsys):
                "--csv", str(bad)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_monitor_rejects_train_csv_of_other_length(tmp_path, capsys):
+    # a shorter training CSV would shift tau_hat by the missing rows; the
+    # check runs before the stream is opened, so a missing stream is not seen
+    train_csv, stream_csv, summary_path = setup_monitoring(tmp_path)
+    short = tmp_path / "short.csv"
+    write_csv(short, read_csv_matrix(str(train_csv))[50:])
+    capsys.readouterr()
+    rc = main(["monitor", "--summary", str(summary_path), "--a", "3.0",
+               "--csv", str(tmp_path / "missing.csv"), "--train-csv", str(short)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "100 rows" in captured.err and "150" in captured.err
 
 
 def test_cli_monitor_rejects_unusable_summary(tmp_path, capsys):

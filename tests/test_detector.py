@@ -14,11 +14,11 @@ from covshift import (
     fit_training,
     gen_stream,
     localize,
-    profile_statistic,
     statistic_batch,
 )
-from covshift.detector import _LOCALIZE_BLOCK
 from covshift.errors import ConfigurationError, DataError, DetectorFinishedError
+from covshift.stats import _PROFILE_BLOCK
+from tests.test_weights import dense_profile
 
 
 def make_summary(p=30, n0=150, window=40, m=0, seed=14):
@@ -47,16 +47,6 @@ def test_cold_start_fills_window_first():
     res = det.step(rng.standard_normal(30))
     assert res.index == 40
     assert res.state in ("monitoring", "alarm")
-
-
-def test_evaluate_from_delays_first_evaluation():
-    train, summary = make_summary()
-    config = DetectorConfig(window=40, threshold=3.0, evaluate_from=5)
-    det = Detector(summary, config)
-    rng = np.random.default_rng(3)
-    for k in range(1, 5):
-        assert det.step(rng.standard_normal(30)).state == "filling"
-    assert det.step(rng.standard_normal(30)).state in ("monitoring", "alarm")
 
 
 def test_window_mismatch_rejected():
@@ -194,20 +184,35 @@ def test_localize_via_report_on_detected_change():
     assert report.delay_vs_tau_hat == summary.n0 + report.stopping_time - report.tau_hat
 
 
+def test_build_report_rejects_history_of_wrong_length():
+    # tau_hat counts rows from the start of training, so a history that is
+    # not n0 training rows plus every monitored row would shift it silently
+    train, summary = make_summary()
+    det = Detector(summary, DetectorConfig(window=40, threshold=1e9))
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((12, 30))
+    for x in rows:
+        det.step(x)
+    for history in (np.vstack([train[50:], rows]), np.vstack([train, rows[:-1]])):
+        with pytest.raises(DataError, match=f"expected n0 \\+ steps = {summary.n0 + 12}"):
+            det.build_report(history=history)
+    assert det.build_report(history=np.vstack([train, rows])).tau_hat is not None
+
+
 def test_localize_is_earliest_argmax_of_dense_profile():
-    # localize's cumulative-sum profile against profile_statistic's dense
-    # per-split weights, over every admissible split
+    # localize's row/column-sum profile against the dense oracle's block
+    # sums, over every admissible split
     rng = np.random.default_rng(41)
-    # the last case spans more than two of localize's row blocks
+    # the last case spans more than two of the profile's row blocks
     cases = [(30, 4, 0, None), (33, 3, 1, None), (36, 5, 2, None), (40, 6, 1, 22),
-             (2 * _LOCALIZE_BLOCK + 37, 3, 2, 300)]
+             (2 * _PROFILE_BLOCK + 37, 3, 2, 300)]
     for n, p, m, tau in cases:
         x = rng.standard_normal((n, p))
         if tau is not None:
             x[tau:] *= 2.0
         summary = SimpleNamespace(mean=rng.standard_normal(p) * 0.1, p=p, dep_order=m)
-        profile = [profile_statistic(x, summary.mean, m, t) for t in range(m + 2, n - m - 1)]
-        assert localize(x, summary) == m + 2 + int(np.argmax(profile))
+        ts, profile = dense_profile(x, summary.mean, m)
+        assert localize(x, summary) == ts[int(np.argmax(profile))]
 
 
 def test_localize_rejects_bad_summary_mean():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from covshift import (
     statistic_windowed,
 )
 from covshift.errors import ConfigurationError, DataError
-from tests.test_weights import brute_profile_weight
+from tests.test_weights import brute_profile_weight, profile_weight_matrix
 
 
 def brute_statistic(x, mean, m):
@@ -110,6 +112,38 @@ def test_profile_statistic_constant_data_matches_oracle_and_zero():
         assert got == pytest.approx(0.0, abs=1e-9)
 
 
+def test_profile_statistic_matches_dense_oracle_at_every_split():
+    # The profile crosses zero, where any float sum carries rounding relative
+    # to the terms it adds, not to its value; the tolerance is therefore
+    # relative to sum |A_t(i, j)| G(i, j)^2 / n^2.  n=300 spans two blocks.
+    rng = np.random.default_rng(23)
+    cases = [(n, m) for m in range(4) for n in (2 * m + 5, 2 * m + 9, 41)] + [(300, 2)]
+    for n, m in cases:
+        p = int(rng.integers(1, 6))
+        x = rng.standard_normal((n, p))
+        x[n // 3:] *= 1.5
+        mean = rng.standard_normal(p) * 0.1
+        g2 = ((x - mean) @ (x - mean).T) ** 2
+        for t in range(m + 2, n - m - 1):
+            a = profile_weight_matrix(t, n, m)
+            expected = (a * g2).sum() / n**2
+            scale = (np.abs(a) * g2).sum() / n**2
+            got = profile_statistic(x, mean, m, t)
+            assert abs(got - expected) <= 1e-12 * scale, (n, m, t)
+
+
+def test_profile_statistic_memory_is_linear_in_length():
+    # a dense n x n array at n=3000 is 72 MB; the profile holds 256 Gram rows
+    x = np.random.default_rng(4).standard_normal((3000, 20))
+    tracemalloc.start()
+    try:
+        profile_statistic(x, np.zeros(20), 1, 1500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
 def brute_statistic_single_t(x, mean, m, t):
     x = np.asarray(x, dtype=float) - np.asarray(mean, dtype=float)
     n = x.shape[0]
@@ -162,7 +196,7 @@ def test_window_state_holds_last_capacity_rows():
     for row in rows:
         state.push(row, np.zeros(2))
     assert state.full
-    assert np.array_equal(state.contents() + 0.0, rows[1:])
+    assert np.array_equal(state.gram_sq, (rows[1:] @ rows[1:].T) ** 2)
 
 
 def test_windowed_statistic_not_ready_until_full():

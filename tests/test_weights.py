@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covshift import build_weight_plan, lag_weight_sums, profile_weight, profile_weight_matrix
+from covshift import build_weight_plan, lag_weight_sums, profile_weight
 from covshift.errors import ConfigurationError
 
 
@@ -16,6 +16,34 @@ def brute_profile_weight(t, i, j, n, m):
     if i >= t + 1 and j >= t + 1:
         return (t - m) / (n - t - m - 1)
     return -(t - m) * (n - t - m) / (t * (n - t) - m * (m + 1) / 2)
+
+
+def profile_weight_matrix(t, n, m):
+    """Dense oracle: the banded split-t slice A_t(i, j) * 1{|i-j| > m} as an
+    n x n matrix, from the scalar formula's three branch values."""
+    a = np.full((n, n), brute_profile_weight(t, 1, n, n, m))
+    a[:t, :t] = brute_profile_weight(t, 1, 1, n, m)
+    a[t:, t:] = brute_profile_weight(t, n, n, n, m)
+    return np.triu(a, m + 1) + np.tril(a, -m - 1)
+
+
+def dense_profile(x, mean, m):
+    """Dense oracle for the split profile: (splits, statistic at each split).
+
+    The split-t weights are constant on three blocks of the n x n squared
+    centered Gram, so each split sums those blocks of the off-band upper
+    triangle directly and weights them with the scalar formula.
+    """
+    xc = np.asarray(x, dtype=float) - np.asarray(mean, dtype=float)
+    n = xc.shape[0]
+    g2 = np.triu((xc @ xc.T) ** 2, m + 1)
+    ts = np.arange(m + 2, n - m - 1)
+    profile = []
+    for t in ts:
+        blocks = g2[:t, :t].sum(), g2[t:, t:].sum(), g2[:t, t:].sum()
+        weights = [brute_profile_weight(t, i, j, n, m) for i, j in ((1, 1), (n, n), (1, n))]
+        profile.append(2.0 * np.dot(weights, blocks))
+    return ts, np.array(profile) / n**2
 
 
 def brute_weight_matrix(n, m):
