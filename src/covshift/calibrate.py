@@ -55,9 +55,11 @@ def run_length_cdf(t: float, window: int, threshold: float) -> float:
     """P(run length <= t) under a stable stream.
 
     Inside the first window the total boundary mass is spread linearly; beyond
-    it the Gumbel tail applies, floored at the boundary mass so the function
-    stays a monotone distribution function (the asymptotic tail form starts
-    below the boundary value right after t = window).
+    it the Gumbel tail applies, floored at the boundary mass and held at its
+    running maximum so the function stays a monotone distribution function:
+    the asymptotic tail form starts below the boundary value right after
+    t = window and, for threshold > 2*sqrt(2), its exponent g peaks early and
+    dips before rising for good.
     """
     if t < 0:
         raise ConfigurationError(f"t must be >= 0, got {t}")
@@ -69,6 +71,13 @@ def run_length_cdf(t: float, window: int, threshold: float) -> float:
     if t <= window:
         return mass * t / window
     g = g_value(t / window, threshold)
+    disc = threshold**2 - 8.0
+    if disc > 0.0:
+        # dg/du = x^2 - a x + 2 with x = 1/sqrt(2u): the local maximum of g
+        # is at sqrt(2u) = 2 / (a + sqrt(a^2 - 8))
+        peak = math.exp(2.0 / (threshold + math.sqrt(disc)) ** 2)
+        if t / window > peak:
+            g = max(g, g_value(peak, threshold))
     if g > 40.0:
         tail = 1.0
     else:

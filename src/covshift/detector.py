@@ -146,7 +146,7 @@ class Detector:
                 f"observation must be a length-{self.summary.p} vector, got "
                 f"shape {x.shape}"
             )
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise DataError("observation contains non-finite values")
         self._steps += 1
         self._state._store(x - self._mean)

@@ -86,14 +86,24 @@ def read_jsonl_stream(handle: IO[str]) -> Iterator[np.ndarray]:
             raise DataError(f"line {index}: invalid JSON ({exc.msg})") from None
         if not isinstance(record, dict) or "x" not in record:
             raise DataError(f'line {index}: expected an object with an "x" field')
+        xs = record["x"]
         try:
-            vec = np.asarray(record["x"])
+            vec = np.asarray(xs)
         except ValueError:  # ragged nesting
             vec = np.asarray(None)
-        # scalars, nesting, strings, booleans and nulls all fail this one check
-        if vec.ndim != 1 or vec.dtype.kind not in "iuf":
+        # scalars, nesting, strings, nulls and all-boolean lists fail the
+        # dtype check; a boolean among numbers converts to 1 or 0, so a line
+        # that spells a boolean anywhere has its elements' types checked
+        if vec.ndim != 1 or vec.dtype.kind not in "iuf" or (
+            ("true" in line or "false" in line)
+            and any(isinstance(v, bool) for v in xs)
+        ):
             raise DataError(f'line {index}: "x" must be a flat list of numbers')
-        yield vec.astype(np.float64, copy=False)
+        vec = vec.astype(np.float64, copy=False)
+        # NaN, Infinity and overflowing literals such as 1e400
+        if not np.isfinite(vec).all():
+            raise DataError(f'line {index}: "x" holds a non-finite number')
+        yield vec
 
 
 def save_summary(summary: TrainingSummary, path: str) -> None:

@@ -4,9 +4,10 @@ The core quantity is a weighted double sum of squared centered inner products
 (x_i - mean)'(x_j - mean): with the summed weight matrix it measures overall
 covariance instability (mean zero under a stable stream), and with a single
 split's weights it profiles where a change happened.  The sliding-window form
-keeps the pairwise products cached in time order, so each new observation
-costs O(H * p) for its new products plus O(H^2) to shift the cache and
-contract it with the weights.  The split profile reduces the squared Gram to
+keeps the pairwise products in a ring written one row and one column per
+observation, so each new observation costs O(H * p) for its new products,
+and the statistic, read through the separable weights W(i, j) = u(i) + v(j),
+costs O(H * (M + 1)).  The split profile reduces the squared Gram to
 row and column sums a block of rows at a time: O(n) memory for all splits.
 """
 
@@ -41,14 +42,13 @@ def _check_mean(mean, p: int) -> np.ndarray:
     mu = np.asarray(mean, dtype=float)
     if mu.shape != (p,):
         raise DataError(f"mean has shape {mu.shape}, expected ({p},)")
-    if not np.all(np.isfinite(mu)):
+    if not np.isfinite(mu).all():
         raise DataError("mean contains non-finite values")
     return mu
 
 
-def _statistic_from_gram(gram: np.ndarray, plan: WeightPlan) -> float:
-    n = plan.length
-    return float((plan.weights * gram**2).sum() / n**2)
+def _statistic_from_gram(gram: np.ndarray, weights: np.ndarray) -> float:
+    return float((weights * gram**2).sum() / gram.shape[0] ** 2)
 
 
 def statistic_batch(obs, mean, plan: WeightPlan) -> float:
@@ -62,7 +62,7 @@ def statistic_batch(obs, mean, plan: WeightPlan) -> float:
     if plan.length != n:
         raise ConfigurationError(f"plan built for length {plan.length}, got {n} observations")
     xc = x - _check_mean(mean, p)
-    return _statistic_from_gram(xc @ xc.T, plan)
+    return _statistic_from_gram(xc @ xc.T, plan.weights)
 
 
 def _split_profile(xc: np.ndarray, dep_order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -109,10 +109,18 @@ class WindowState:
     """Window of the last `capacity` centered observations with cached
     squared inner products.
 
-    gram_sq is kept in time order: row and column 0 belong to the oldest
-    observation, so one weight plan applies to it directly.  The centered
-    rows themselves sit in ring slot count % capacity.  Single-writer: one
-    stream owner pushes.
+    The centered rows sit in ring slot count % capacity, and the capacity x
+    capacity ring `_sq` holds two numbers for each pair of rows: entry
+    (newer, older) is their squared product G^2, and entry (older, newer) is
+    the newer row's sum of G^2 over the rows from the older one up to itself
+    (exclusive).  Pushing row r writes ring row r (its products) and ring
+    column r (those sums); nothing is shifted.  Entry (oldest, r) is then
+    r's sum over every older row in the window, a sum written once and never
+    updated by subtraction.  `_newer` holds each row's sum over the newer
+    rows, added to as they arrive and reset when its slot is reused, so no
+    running sum outlives `capacity` pushes.  gram_sq rebuilds the time
+    ordered squared Gram matrix on request.  Single-writer: one stream
+    owner pushes.
     """
 
     def __init__(self, capacity: int):
@@ -121,14 +129,18 @@ class WindowState:
         self.capacity = capacity
         self.count = 0
         self._buf: np.ndarray | None = None        # capacity x p, centered
-        self.gram_sq: np.ndarray | None = None     # capacity x capacity
+        self._sq: np.ndarray | None = None         # capacity x capacity ring
+        self._newer = np.zeros(capacity)
+        # _slots[o:o + capacity] lists the slots in time order when the
+        # oldest row is in slot o
+        self._slots = np.arange(2 * capacity) % capacity
 
     def push(self, x, mean) -> "WindowState":
         """Center x, store it (evicting the oldest when full), cache products."""
         xv = np.asarray(x, dtype=float)
         if xv.ndim != 1:
             raise DataError(f"observation must be 1-D, got shape {xv.shape}")
-        if not np.all(np.isfinite(xv)):
+        if not np.isfinite(xv).all():
             raise DataError("observation contains non-finite values")
         if self._buf is not None and xv.shape[0] != self._buf.shape[1]:
             raise DataError(
@@ -137,37 +149,59 @@ class WindowState:
         return self._store(xv - _check_mean(mean, xv.shape[0]))
 
     def _store(self, xc: np.ndarray) -> "WindowState":
-        """Store an already validated, centered observation."""
+        """Store an already validated, centered observation: O(H * p)."""
         h = self.capacity
         if self._buf is None:
             self._buf = np.zeros((h, xc.shape[0]))
-            self.gram_sq = np.zeros((h, h))
-        self._buf[self.count % h] = xc
+            self._sq = np.zeros((h, h))
+        slot = self.count % h
+        self._buf[slot] = xc
         self.count += 1
         filled = min(self.count, h)
-        # the oldest row is in slot count % h once full; rolling puts it first
-        sq = np.roll(self._buf[:filled] @ xc, -self.count) ** 2
-        g = self.gram_sq
-        if self.count > h:
-            # g[:-1, :-1] = g[1:, 1:] as one flat memmove; the 2-D form copies
-            # through an H x H temporary.  What wraps into the last column is
-            # overwritten below.
-            flat = g.reshape(-1)
-            flat[:-h - 1] = flat[h + 1:]
-        g[filled - 1, :filled] = sq
-        g[:filled, filled - 1] = sq
+        sq = self._buf[:filled] @ xc
+        sq *= sq
+        # the older rows from newest to oldest are slots slot-1 .. 0 and then
+        # filled-1 .. slot+1; each one's entry in column slot is the sum of
+        # the new products from it up to the newest, and row slot holds the
+        # products themselves
+        recent = np.concatenate((sq[:slot][::-1], sq[:slot:-1]))
+        np.add.accumulate(recent, out=recent)
+        col = self._sq[:, slot]
+        col[:slot] = recent[:slot][::-1]
+        col[slot + 1:filled] = recent[slot:][::-1]
+        self._sq[slot, :filled] = sq
+        self._newer[:filled] += sq
+        self._newer[slot] = 0.0
         return self
 
     @property
     def full(self) -> bool:
         return self.count >= self.capacity
 
+    @property
+    def gram_sq(self) -> np.ndarray | None:
+        """Read-only squared Gram matrix in time order (row and column 0 are
+        the oldest observation), built on each access; None before a push."""
+        if self._sq is None:
+            return None
+        h = self.capacity
+        filled = min(self.count, h)
+        order = (self.count - filled + np.arange(filled)) % h
+        ring = self._sq[np.ix_(order, order)]
+        out = np.zeros((h, h))
+        out[:filled, :filled] = np.tril(ring) + np.tril(ring, -1).T
+        out.setflags(write=False)
+        return out
+
 
 def statistic_windowed(state: WindowState, plan: WeightPlan) -> float | None:
     """Windowed statistic over the current contents; None until full.
 
-    Window positions are numbered 1..H oldest -> newest, the order gram_sq
-    is kept in, so one plan built for length H serves every evaluation.
+    Window positions are numbered 1..H oldest -> newest, so one plan built
+    for length H serves every evaluation.  With W(i, j) = u(i) + v(j) off the
+    band (i newer), the statistic is (2/H^2) * [sum_i u(i) * L(i) +
+    sum_j v(j) * R(j)], L and R being a row's sums of G^2 over the older and
+    the newer rows, less the M band diagonals: O(H * (M + 1)).
     """
     if plan.length != state.capacity:
         raise ConfigurationError(
@@ -175,4 +209,15 @@ def statistic_windowed(state: WindowState, plan: WeightPlan) -> float | None:
         )
     if not state.full:
         return None
-    return float(np.vdot(plan.weights, state.gram_sq) / state.capacity**2)
+    h = state.capacity
+    o = state.count % h  # slot of the oldest row
+    order = state._slots[o:o + h]
+    ring, u, v = state._sq, plan.u, plan.v
+    # the oldest row's entry at a newer row is that row's sum over all its
+    # older rows; at itself it is its own product, which is skipped
+    total = u[1:].dot(ring[o].take(order[1:])) + v.dot(state._newer.take(order))
+    flat = ring.reshape(-1)
+    for d in range(1, plan.dep_order + 1):
+        band = flat.take(order[d:] * h + order[:-d])  # G^2 of positions k+d, k
+        total -= u[d:].dot(band) + v[:-d].dot(band)
+    return float(2.0 * total / h**2)

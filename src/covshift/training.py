@@ -319,8 +319,9 @@ def stationarity_test(
             f"need at least {2 * dep_order + 5} training rows for dep_order {dep_order}, got {n0}"
         )
     gram = _centered_gram(x, mean) if _gram is None else _gram
-    plan = build_weight_plan(n0, dep_order)
-    stat_raw = _statistic_from_gram(gram, plan)
+    # held until return, so the lag sums in estimate_null_sd reuse this W
+    weights = build_weight_plan(n0, dep_order).weights
+    stat_raw = _statistic_from_gram(gram, weights)
     if table is None:
         table = _trace_table(gram, dep_order)
     sd = estimate_null_sd(x, mean, dep_order, window=n0, table=table)

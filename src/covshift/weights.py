@@ -5,8 +5,10 @@ three-branch weight A_t(i, j): pairs on the same side of the split get a
 positive weight, pairs straddling it a negative one, with denominators chosen
 so each banded t-slice sums to zero exactly.  Summing the slices over
 t = M+2 ... n-M-2 and zeroing the band |i-j| <= M gives the weight matrix W
-used by the batch and windowed statistics.  A single split's slice, constant
-on three blocks, weights the localization profile (stats._split_profile).
+used by the batch and windowed statistics.  Off the band W separates as
+u(max(i,j)) + v(min(i,j)), and a WeightPlan stores those two vectors.  A
+single split's slice, constant on three blocks, weights the localization
+profile (stats._split_profile).
 
 M is the dependence order of the stream: observations more than M steps apart
 are assumed independent, and the band removes the pairs whose products carry
@@ -16,6 +18,7 @@ that dependence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -75,24 +78,53 @@ def profile_weight(t: int, i: int, j: int, length: int, dep_order: int) -> float
     return -gamma
 
 
+def _no_dense() -> None:
+    """Stands in for a dead weak reference to a plan's dense W."""
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class WeightPlan:
-    """Immutable weight matrix for a fixed (length, dep_order).
+    """Immutable weights for a fixed (length, dep_order), stored as (u, v).
 
-    weights is read-only and shareable across threads.
+    Off the band |i-j| <= dep_order, W(i, j) = u(max(i,j)) + v(min(i,j));
+    u and v are read-only length-n vectors, shareable across threads, and
+    the windowed statistic reads them directly.  weights builds the dense
+    n x n W from them for the batch statistic and the lag sums.
     """
 
     length: int
     dep_order: int
-    weights: np.ndarray = field(repr=False)
+    u: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.weights.setflags(write=False)
+        self.u.setflags(write=False)
+        self.v.setflags(write=False)
+        object.__setattr__(self, "_dense", _no_dense)
+
+    def __getstate__(self):
+        # a weak reference does not pickle; the copy rebuilds W when asked
+        return {**self.__dict__, "_dense": _no_dense}
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Dense read-only n x n W, built from the stored form (u, v).  The
+        plan keeps only a weak reference: callers that hold W share one
+        build, and a cached plan holds no n x n array."""
+        w = self._dense()
+        if w is None:
+            # row i, column j < i - m: the lower triangle off the band
+            lower = np.tril(self.u[:, None] + self.v[None, :], -(self.dep_order + 1))
+            w = lower + lower.T
+            w.setflags(write=False)
+            object.__setattr__(self, "_dense", weakref.ref(w))
+        return w
 
 
 @lru_cache(maxsize=64)
 def build_weight_plan(length: int, dep_order: int) -> WeightPlan:
-    """Sum the banded split weights over all valid splits, in O(n^2).
+    """Sum the banded split weights over all valid splits, in O(n).
 
     Off the band the sum separates as W(i, j) = u(max(i,j)) + v(min(i,j)):
     with C(x) the sum of gamma_t over valid t <= x, the pair (i < j) collects
@@ -108,9 +140,7 @@ def build_weight_plan(length: int, dep_order: int) -> WeightPlan:
     below_g = np.cumsum(gamma) - gamma  # C(k-1)
     u = np.cumsum(alpha[::-1])[::-1] - below_g
     v = np.cumsum(beta) - beta + below_g
-    # row i, column j < i - m: the lower triangle off the band
-    lower = np.tril(u[:, None] + v[None, :], -(m + 1))
-    return WeightPlan(length=n, dep_order=m, weights=lower + lower.T)
+    return WeightPlan(length=n, dep_order=m, u=u, v=v)
 
 
 @lru_cache(maxsize=64)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -70,6 +70,7 @@ def test_cdf_linear_inside_window():
     h=st.integers(min_value=20, max_value=300),
     grid=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=2, max_size=12),
 )
+@example(a=4.0, h=20, grid=[21.0, 22.0])  # past the early peak of the tail exponent
 def test_cdf_monotone_on_random_grids(a, h, grid):
     ts = sorted(grid)
     vals = [run_length_cdf(t, h, a) for t in ts]

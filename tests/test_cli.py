@@ -85,11 +85,17 @@ def test_read_jsonl_stream_rejects_non_numeric_elements():
     good = '{"t": 0, "x": [1, 2.5]}\n'
     assert np.array_equal(next(read_jsonl_stream(io.StringIO(good))), [1.0, 2.5])
     for x in ('["1", "2e3"]', "[true, null]", "[true, false]", "[1, null]",
-              "[[1], [2, 3]]", "[[1, 2], [3, 4]]"):
+              "[[1], [2, 3]]", "[[1, 2], [3, 4]]", "[1, true]", "[0.5, false]",
+              "[NaN, 1]", "[1, Infinity]", "[-Infinity]", "[1e400, 2]"):
         lines = good + '{"t": 1, "x": ' + x + "}\n"
         with pytest.raises(DataError) as err:
             list(read_jsonl_stream(io.StringIO(lines)))
         assert "line 2" in str(err.value)
+
+
+def test_read_jsonl_stream_accepts_true_outside_x():
+    line = '{"t": 0, "note": "true", "flag": false, "x": [1, 2.5]}\n'
+    assert np.array_equal(next(read_jsonl_stream(io.StringIO(line))), [1.0, 2.5])
 
 
 def test_summary_save_load_round_trip(tmp_path):
@@ -230,6 +236,22 @@ def test_cli_monitor_reads_jsonl_stdin(tmp_path, capsys, monkeypatch):
     rc = main(["monitor", "--summary", str(summary_path), "--a", "3.0",
                "--train-csv", str(train_csv)])
     assert rc == 2
+
+
+def test_cli_monitor_jsonl_names_the_bad_line(tmp_path, capsys):
+    train_csv, stream_csv, summary_path = setup_monitoring(tmp_path)
+    rows = read_csv_matrix(str(stream_csv))[:3]
+    lines = [json.dumps({"t": k, "x": list(row)}) for k, row in enumerate(rows)]
+    p = rows.shape[1]
+    for bad in ("[NaN" + ", 0.5" * (p - 1) + "]", "[true" + ", 0.5" * (p - 1) + "]"):
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join([lines[0], '{"t": 1, "x": ' + bad + "}", lines[2]]) + "\n")
+        capsys.readouterr()
+        rc = main(["monitor", "--summary", str(summary_path), "--a", "3.0",
+                   "--jsonl", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("covshift: error:") and "line 2" in err
 
 
 def test_cli_monitor_dimension_mismatch_exits_one(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -131,6 +132,19 @@ def test_incremental_equals_batch_recompute():
         res = det.step(x)
         batch = statistic_batch(np.asarray(rows[-30:]), summary.mean, plan)
         assert res.std_stat == pytest.approx(batch / summary.null_sd, rel=1e-10, abs=1e-12)
+
+
+def test_detector_survives_a_pickle_round_trip():
+    train, summary = make_summary(p=5, window=30, m=1)
+    det = Detector(summary, DetectorConfig(window=30, threshold=1e9))
+    det.plan.weights  # a built dense W is held weakly and must not break pickling
+    rows = np.random.default_rng(2).standard_normal((6, 5))
+    for x in rows[:3]:
+        det.step(x)
+    restored = pickle.loads(pickle.dumps(det))
+    for x in rows[3:]:
+        assert restored.step(x).std_stat == det.step(x).std_stat
+    assert np.array_equal(restored.plan.weights, det.plan.weights)
 
 
 def test_detection_is_deterministic():

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from covshift import (
+    Detector,
+    DetectorConfig,
+    FitConfig,
     WindowState,
     build_weight_plan,
+    fit_training,
     profile_statistic,
     statistic_batch,
     statistic_windowed,
@@ -253,3 +257,83 @@ def test_window_straddling_change_exceeds_null_window():
         mixed_vals[r] = statistic_batch(mixed, np.zeros(p), plan)
     se = np.sqrt(null_vals.var(ddof=1) / 1000 + mixed_vals.var(ddof=1) / 1000)
     assert mixed_vals.mean() > null_vals.mean() + 4 * se
+
+
+def ma_stream(rng, steps, p, m):
+    """MA(m) rows whose scale swings slowly over one decade."""
+    z = rng.standard_normal((steps + m, p))
+    x = sum(z[k:k + steps] for k in range(m + 1)) / np.sqrt(m + 1)
+    return x * 10 ** (0.5 * np.sin(np.arange(steps) / 500.0))[:, None]
+
+
+def term_scale(win, mean, plan):
+    """sum |W| G^2 / H^2: the size of the terms the statistic adds up."""
+    xc = win - mean
+    return float((np.abs(plan.weights) * (xc @ xc.T) ** 2).sum()) / plan.length**2
+
+
+def test_windowed_matches_batch_over_long_soak():
+    # 1.1e5 pushes over four shapes; the last runs through a primed Detector
+    rng = np.random.default_rng(31)
+    for h, m, p, steps in [(5, 0, 3, 27000), (9, 2, 2, 27000), (24, 1, 4, 27000)]:
+        plan = build_weight_plan(h, m)
+        mean = rng.standard_normal(p) * 0.1
+        x = ma_stream(rng, steps, p, m)
+        state = WindowState(h)
+        for t, row in enumerate(x):
+            state.push(row, mean)
+            if t >= h - 1 and (t % 499 == 0 or t == steps - 1):
+                win = x[t - h + 1:t + 1]
+                err = statistic_windowed(state, plan) - statistic_batch(win, mean, plan)
+                assert abs(err) <= 1e-12 * term_scale(win, mean, plan), (h, m, t)
+
+    h, m, p, steps = 17, 2, 3, 27000
+    train = ma_stream(rng, 200, p, m)
+    summary = fit_training(train, FitConfig(window=h, dep_order_override=m))
+    plan = build_weight_plan(h, m)
+    x = np.vstack([train[-(h - 1):], ma_stream(rng, steps, p, m)])
+    det = Detector(summary, DetectorConfig(window=h, threshold=1e12), prime=x[:h - 1])
+    for t in range(h - 1, h - 1 + steps):
+        res = det.step(x[t])
+        if t % 499 == 0 or t == h - 2 + steps:
+            win = x[t - h + 1:t + 1]
+            err = res.std_stat * summary.null_sd - statistic_batch(win, summary.mean, plan)
+            assert abs(err) <= 1e-12 * term_scale(win, summary.mean, plan), t
+
+
+def test_windowed_rounding_stays_within_separable_term_scale():
+    # Outliers 1e3 times the typical row make band products (W = 0) and
+    # pairs with W(i, j) = u(i) + v(j) near 0 the largest terms, so the
+    # separable sum's rounding is bounded by sum (|u(i)| + |v(j)|) G^2 over
+    # every pair i > j, band included, and not by sum |W| G^2.
+    rng = np.random.default_rng(8)
+    for h, m in [(5, 0), (40, 2)]:
+        plan = build_weight_plan(h, m)
+        steps, p = 6000, 3
+        x = rng.standard_normal((steps, p))
+        x[rng.random(steps) < 0.01] *= 1e3
+        state = WindowState(h)
+        sep = np.tril(np.abs(plan.u)[:, None] + np.abs(plan.v)[None, :], -1)
+        for t, row in enumerate(x):
+            state.push(row, np.zeros(p))
+            if t >= h - 1 and t % 7 == 0:
+                win = x[t - h + 1:t + 1]
+                bound = 2.0 * float((sep * (win @ win.T) ** 2).sum()) / h**2
+                err = statistic_windowed(state, plan) - statistic_batch(win, np.zeros(p), plan)
+                assert abs(err) <= 1e-12 * bound, (h, m, t)
+
+
+def test_one_window_state_serves_plans_of_any_dep_order():
+    h, p = 23, 3
+    rng = np.random.default_rng(12)
+    mean = rng.standard_normal(p) * 0.1
+    x = rng.standard_normal((3 * h + 5, p))
+    state = WindowState(h)
+    for t, row in enumerate(x):
+        state.push(row, mean)
+        if t >= h - 1:
+            win = x[t - h + 1:t + 1]
+            for m in (0, 1, 2):
+                plan = build_weight_plan(h, m)
+                err = statistic_windowed(state, plan) - statistic_batch(win, mean, plan)
+                assert abs(err) <= 1e-12 * term_scale(win, mean, plan), (t, m)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -139,6 +141,31 @@ def test_plan_weights_are_read_only():
     plan = build_weight_plan(12, 0)
     with pytest.raises(ValueError):
         plan.weights[0, 1] = 99.0
+
+
+def test_plan_vectors_rebuild_dense_weights():
+    for n, m in [(5, 0), (14, 1), (40, 2), (37, 3)]:
+        plan = build_weight_plan(n, m)
+        u, v, w = plan.u, plan.v, plan.weights
+        assert u.shape == v.shape == (n,)
+        lower = np.tril(u[:, None] + v[None, :], -(m + 1))
+        assert np.array_equal(w.view(np.int64), (lower + lower.T).view(np.int64))
+        for i in range(n):
+            for j in range(i - m):  # j < i - m: off the band
+                assert w[i, j] == u[i] + v[j]
+        for arr in (u, v, w):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
+def test_dense_weights_are_shared_while_held_and_not_kept():
+    plan = build_weight_plan(30, 1)
+    w = plan.weights
+    assert plan.weights is w
+    ref = weakref.ref(w)
+    del w
+    gc.collect()
+    assert ref() is None  # the cached plan holds no n x n array
 
 
 def test_lag_weight_sums_match_direct_shifts():
