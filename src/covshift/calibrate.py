@@ -63,7 +63,7 @@ def run_length_cdf(t: float, window: int, threshold: float) -> float:
     """
     if t < 0:
         raise ConfigurationError(f"t must be >= 0, got {t}")
-    if threshold <= 0:
+    if not threshold > 0:  # NaN fails too
         raise ConfigurationError(f"threshold must be > 0, got {threshold}")
     if window < 1:
         raise ConfigurationError(f"window must be >= 1, got {window}")
@@ -86,7 +86,8 @@ def run_length_cdf(t: float, window: int, threshold: float) -> float:
 
 
 def _arl_quiet(threshold: float, window: int) -> float:
-    """ARL integral via u = log(t/H): H * (1 + int_0^inf e^u exp(-2 e^g) du)."""
+    """ARL integral via u = log(t/H): H * (1 + int_0^inf e^u exp(-2 e^g) du);
+    math.inf once the integrand, and so the ARL, is past float range."""
     a = threshold
 
     def integrand(u: float) -> float:
@@ -99,7 +100,12 @@ def _arl_quiet(threshold: float, window: int) -> float:
     total, _ = integrate.quad(integrand, 0.0, 1.0, limit=200, epsabs=0.0, epsrel=1e-10)
     lo = 1.0
     while True:
-        seg, _ = integrate.quad(integrand, lo, 2.0 * lo, limit=200, epsabs=1e-300, epsrel=1e-10)
+        try:
+            seg, _ = integrate.quad(
+                integrand, lo, 2.0 * lo, limit=200, epsabs=1e-300, epsrel=1e-10
+            )
+        except OverflowError:
+            return math.inf
         total += seg
         if seg < 1e-12 * total or lo > 1e6:
             break
@@ -120,7 +126,7 @@ def _check_regime(threshold: float, window: int) -> None:
 
 def theoretical_arl(threshold: float, window: int) -> float:
     """Expected run length under a stable stream for the given threshold."""
-    if threshold <= 0:
+    if not threshold > 0:  # NaN fails too
         raise ConfigurationError(f"threshold must be > 0, got {threshold}")
     if window < 1:
         raise ConfigurationError(f"window must be >= 1, got {window}")
@@ -157,6 +163,8 @@ def solve_threshold(target_arl: float, window: int) -> CalibrationResult:
     down to 1e-3 followed by a secant polish reaches a relative residual of
     1e-6 in a handful of iterations.
     """
+    if not math.isfinite(target_arl):
+        raise ConfigurationError(f"target ARL must be finite, got {target_arl}")
     if window < 1:
         raise ConfigurationError(f"window must be >= 1, got {window}")
     if target_arl <= window:
@@ -200,7 +208,7 @@ def solve_threshold(target_arl: float, window: int) -> CalibrationResult:
     for _ in range(30):
         if abs(r_best) <= 1e-6 * target_arl:
             break
-        if r1 == r0:
+        if r1 == r0 or not math.isfinite(r1 - r0):  # an ARL past float range
             break
         a2 = a1 - r1 * (a1 - a0) / (r1 - r0)
         a2 = min(max(a2, lo), hi)
@@ -245,7 +253,7 @@ def edd_upper_bound(
     change_norm is the Frobenius norm of the covariance change.  A zero
     change_norm yields an infinite bound (nothing to detect).
     """
-    if threshold <= 0 or window < 1 or dep_order < 0 or null_sd <= 0:
+    if not (threshold > 0 and null_sd > 0) or window < 1 or dep_order < 0:
         raise ConfigurationError("threshold, window, null_sd must be positive; dep_order >= 0")
     if change_norm < 0:
         raise ConfigurationError(f"change_norm must be >= 0, got {change_norm}")
@@ -268,6 +276,6 @@ def min_detectable_change(threshold: float, window: int, base_norm: float) -> fl
 
     base_norm is the Frobenius norm of the pre-change covariance matrix.
     """
-    if threshold <= 0 or window < 1 or base_norm <= 0:
+    if not (threshold > 0 and base_norm > 0) or window < 1:
         raise ConfigurationError("threshold, window, base_norm must be positive")
     return math.sqrt(threshold / window) * base_norm

@@ -223,6 +223,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     replicates = (
         args.replicates if args.replicates is not None else scenario.get("replicates", 0)
     )
+    if replicates < 0:
+        raise DataError(f"replicates must be >= 0 (0: theory only), got {replicates}")
+    if args.workers < 1:
+        raise DataError(f"--workers must be >= 1, got {args.workers}")
 
     if kind == "m_selection":
         if replicates < 1:
@@ -259,7 +263,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     innovation = scenario.get("innovation", "gaussian")
     pre_base = scenario.get("pre_base", "identity")
     recipe = _recipe_from(scenario)
-    workers = max(1, args.workers)
+    workers = args.workers
 
     if kind == "arl":
         spec = GeneratorSpec(

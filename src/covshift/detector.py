@@ -41,7 +41,7 @@ class DetectorConfig:
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ConfigurationError(f"window must be >= 1, got {self.window}")
-        if self.threshold <= 0:
+        if not self.threshold > 0:  # NaN fails too
             raise ConfigurationError(f"threshold must be > 0, got {self.threshold}")
 
 

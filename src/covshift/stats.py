@@ -7,8 +7,9 @@ split's weights it profiles where a change happened.  The sliding-window form
 keeps the pairwise products in a ring written one row and one column per
 observation, so each new observation costs O(H * p) for its new products,
 and the statistic, read through the separable weights W(i, j) = u(i) + v(j),
-costs O(H * (M + 1)).  The split profile reduces the squared Gram to
-row and column sums a block of rows at a time: O(n) memory for all splits.
+costs O(H * (M + 1)).  The batch statistic and the split profile share
+one reduction of the squared Gram to off-band row and column sums, a block
+of rows at a time: O(n^2 * p) work and O(n) memory.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ __all__ = [
     "statistic_windowed",
 ]
 
-# rows of the squared Gram matrix that _split_profile holds at once
+# rows of the squared Gram matrix that _offband_sums holds at once
 _PROFILE_BLOCK = 256
 
 
@@ -47,8 +48,23 @@ def _check_mean(mean, p: int) -> np.ndarray:
     return mu
 
 
-def _statistic_from_gram(gram: np.ndarray, weights: np.ndarray) -> float:
-    return float((weights * gram**2).sum() / gram.shape[0] ** 2)
+def _offband_sums(block, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """row[i] = sum_{j < i-M} G(i,j)^2 and col[j] = sum_{i > j+M} G(i,j)^2 of
+    an n x n Gram G, _PROFILE_BLOCK rows at a time; block(i0, i1, j1) returns
+    G[i0:i1, :j1], from centered rows or from a Gram already held."""
+    row, col = np.zeros(n), np.zeros(n)
+    for i0 in range(m + 1, n, _PROFILE_BLOCK):
+        i1 = min(i0 + _PROFILE_BLOCK, n)
+        sq = np.tril(block(i0, i1, i1 - m - 1) ** 2, i0 - m - 1)
+        row[i0:i1] = sq.sum(axis=1)
+        col[:i1 - m - 1] += sq.sum(axis=0)
+    return row, col
+
+
+def _summed_statistic(block, plan: WeightPlan) -> float:
+    """sum W G^2 / n^2 = 2 (u . row + v . col) / n^2, block as in _offband_sums."""
+    row, col = _offband_sums(block, plan.length, plan.dep_order)
+    return float(2.0 * (plan.u.dot(row) + plan.v.dot(col)) / float(plan.length) ** 2)
 
 
 def statistic_batch(obs, mean, plan: WeightPlan) -> float:
@@ -56,13 +72,14 @@ def statistic_batch(obs, mean, plan: WeightPlan) -> float:
 
     Pass a zero mean for the uncentered form.  Zero exactly for constant
     input (the weights sum to zero) and scales as c^4 under obs -> c*obs.
+    Read through the separable weights: O(n^2 * p) work, O(n) memory.
     """
     x = _as_matrix(obs)
     n, p = x.shape
     if plan.length != n:
         raise ConfigurationError(f"plan built for length {plan.length}, got {n} observations")
     xc = x - _check_mean(mean, p)
-    return _statistic_from_gram(xc @ xc.T, plan.weights)
+    return _summed_statistic(lambda i0, i1, j1: xc[i0:i1] @ xc[:j1].T, plan)
 
 
 def _split_profile(xc: np.ndarray, dep_order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -75,14 +92,7 @@ def _split_profile(xc: np.ndarray, dep_order: int) -> tuple[np.ndarray, np.ndarr
     """
     m = dep_order
     n = xc.shape[0]
-    row = np.zeros(n)  # row[i] = sum_{j < i-M} G(i,j)^2
-    col = np.zeros(n)  # col[j] = sum_{i > j+M} G(i,j)^2
-    for i0 in range(m + 1, n, _PROFILE_BLOCK):
-        i1 = min(i0 + _PROFILE_BLOCK, n)
-        sq = np.tril((xc[i0:i1] @ xc[:i1 - m - 1].T) ** 2, i0 - m - 1)
-        row[i0:i1] = sq.sum(axis=1)
-        col[:i1 - m - 1] += sq.sum(axis=0)
-
+    row, col = _offband_sums(lambda i0, i1, j1: xc[i0:i1] @ xc[:j1].T, n, m)
     ts = np.arange(m + 2, n - m - 1)
     left = np.cumsum(row)[ts - 1]            # both indices <= t
     cross = np.cumsum(col)[ts - 1] - left    # lower index <= t < upper

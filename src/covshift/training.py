@@ -37,7 +37,7 @@ from .errors import (
     DependenceTooStrongError,
     InsufficientTrainingError,
 )
-from .stats import _as_matrix, _check_mean, _statistic_from_gram
+from .stats import _as_matrix, _check_mean, _summed_statistic
 from .weights import build_weight_plan, lag_weight_sums
 
 __all__ = [
@@ -308,7 +308,8 @@ def stationarity_test(
 
     The full-length batch statistic standardized by its estimated null sd is
     asymptotically standard normal; reject when it exceeds the upper-alpha
-    normal quantile.
+    normal quantile.  The statistic is read through (u, v) from the off-band
+    row and column sums of the Gram (fit_training passes the one it holds).
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
@@ -319,9 +320,8 @@ def stationarity_test(
             f"need at least {2 * dep_order + 5} training rows for dep_order {dep_order}, got {n0}"
         )
     gram = _centered_gram(x, mean) if _gram is None else _gram
-    # held until return, so the lag sums in estimate_null_sd reuse this W
-    weights = build_weight_plan(n0, dep_order).weights
-    stat_raw = _statistic_from_gram(gram, weights)
+    plan = build_weight_plan(n0, dep_order)
+    stat_raw = _summed_statistic(lambda i0, i1, j1: gram[i0:i1, :j1], plan)
     if table is None:
         table = _trace_table(gram, dep_order)
     sd = estimate_null_sd(x, mean, dep_order, window=n0, table=table)

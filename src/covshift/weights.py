@@ -6,9 +6,10 @@ positive weight, pairs straddling it a negative one, with denominators chosen
 so each banded t-slice sums to zero exactly.  Summing the slices over
 t = M+2 ... n-M-2 and zeroing the band |i-j| <= M gives the weight matrix W
 used by the batch and windowed statistics.  Off the band W separates as
-u(max(i,j)) + v(min(i,j)), and a WeightPlan stores those two vectors.  A
-single split's slice, constant on three blocks, weights the localization
-profile (stats._split_profile).
+u(max(i,j)) + v(min(i,j)); a WeightPlan stores those two vectors, the only
+form of W, and every sum over W is read from them in O(n) memory.  A single
+split's slice, constant on three blocks, weights the localization profile
+(stats._split_profile).
 
 M is the dependence order of the stream: observations more than M steps apart
 are assumed independent, and the band removes the pairs whose products carry
@@ -18,7 +19,6 @@ that dependence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -78,19 +78,14 @@ def profile_weight(t: int, i: int, j: int, length: int, dep_order: int) -> float
     return -gamma
 
 
-def _no_dense() -> None:
-    """Stands in for a dead weak reference to a plan's dense W."""
-    return None
-
-
 @dataclass(frozen=True, eq=False)
 class WeightPlan:
     """Immutable weights for a fixed (length, dep_order), stored as (u, v).
 
-    Off the band |i-j| <= dep_order, W(i, j) = u(max(i,j)) + v(min(i,j));
-    u and v are read-only length-n vectors, shareable across threads, and
-    the windowed statistic reads them directly.  weights builds the dense
-    n x n W from them for the batch statistic and the lag sums.
+    Off the band |i-j| <= dep_order, W(i, j) = u(max(i,j)) + v(min(i,j)),
+    and W is zero on the band; u and v are read-only length-n vectors,
+    shareable across threads, and the only form of W: the batch, windowed
+    and lag-sum computations all read them directly.
     """
 
     length: int
@@ -101,25 +96,6 @@ class WeightPlan:
     def __post_init__(self):
         self.u.setflags(write=False)
         self.v.setflags(write=False)
-        object.__setattr__(self, "_dense", _no_dense)
-
-    def __getstate__(self):
-        # a weak reference does not pickle; the copy rebuilds W when asked
-        return {**self.__dict__, "_dense": _no_dense}
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Dense read-only n x n W, built from the stored form (u, v).  The
-        plan keeps only a weak reference: callers that hold W share one
-        build, and a cached plan holds no n x n array."""
-        w = self._dense()
-        if w is None:
-            # row i, column j < i - m: the lower triangle off the band
-            lower = np.tril(self.u[:, None] + self.v[None, :], -(self.dep_order + 1))
-            w = lower + lower.T
-            w.setflags(write=False)
-            object.__setattr__(self, "_dense", weakref.ref(w))
-        return w
 
 
 @lru_cache(maxsize=64)
@@ -148,20 +124,26 @@ def lag_weight_sums(plan: WeightPlan) -> dict[tuple[int, int], float]:
     """S(h1, h2) = sum_{i,j} W(i,j) * W(i-h1, j+h2) for |h1|,|h2| <= dep_order.
 
     Out-of-range shifted indices contribute zero.  These sums pair with the
-    squared trace estimates in the null-variance formula.
+    squared trace estimates in the null-variance formula.  |h1+h2| <= 2M keeps
+    a pair and its shift on one side of the diagonal, both below the band
+    when i - j >= c = M+1+max(0, h1+h2); there row i adds (u_i + v_j) *
+    (u_{i-h1} + v_{j+h2}) over its columns j <= i-c, four prefix sums over j.
+    W is symmetric, so the side above the band is the side below at
+    (-h2, -h1): O(n) time and memory per (h1, h2).
     """
-    w = plan.weights
-    n = plan.length
-    m = plan.dep_order
-    sums: dict[tuple[int, int], float] = {}
-    for h1 in range(-m, m + 1):
-        for h2 in range(-m, m + 1):
-            i0, i1 = max(0, h1), min(n, n + h1)
-            j0, j1 = max(0, -h2), min(n, n - h2)
-            if i0 >= i1 or j0 >= j1:
-                sums[(h1, h2)] = 0.0
-                continue
-            a = w[i0:i1, j0:j1]
-            b = w[i0 - h1:i1 - h1, j0 + h2:j1 + h2]
-            sums[(h1, h2)] = float((a * b).sum())
-    return sums
+    n, m, u, v = plan.length, plan.dep_order, plan.u, plan.v
+
+    def below(h1: int, h2: int) -> float:
+        c = m + 1 + max(0, h1 + h2)
+        j0, j1 = max(0, -h2), min(n, n - h2)  # j and j + h2 in range
+        i0, i1 = max(0, h1, j0 + c), min(n, n + h1)  # i and i - h1 in range
+        ui, us, vj, vs = u[i0:i1], u[i0 - h1:i1 - h1], v[j0:j1], v[j0 + h2:j1 + h2]
+        last = np.minimum(np.arange(i0 - c, i1 - c), j1 - 1) - j0  # row i's last j
+        return (ui.dot(us * (last + 1)) + ui.dot(np.cumsum(vs)[last])
+                + us.dot(np.cumsum(vj)[last]) + np.cumsum(vj * vs)[last].sum())
+
+    return {
+        (h1, h2): float(below(h1, h2) + below(-h2, -h1))
+        for h1 in range(-m, m + 1)
+        for h2 in range(-m, m + 1)
+    }

@@ -40,6 +40,7 @@ from covshift import (
     stationarity_test,
     theoretical_arl,
 )
+from tests.test_weights import dense_weights
 
 WORKERS = 8
 
@@ -168,7 +169,7 @@ def test_criterion_7a_incremental_matches_batch_and_weight_identities():
             batch = statistic_batch(np.asarray(history[-h:]), mean, plan)
             assert inc == pytest.approx(batch, rel=1e-10, abs=1e-12)
     for h, m in [(30, 0), (41, 1), (64, 2)]:
-        w = build_weight_plan(h, m).weights
+        w = dense_weights(build_weight_plan(h, m))
         assert np.array_equal(w, w.T)
         idx = np.arange(h)
         assert np.all(w[np.abs(idx[:, None] - idx[None, :]) <= m] == 0.0)
@@ -192,7 +193,7 @@ def test_criterion_7b_weight_square_sum_asymptote():
     # rel=0.05 still rejects the quoted constant and any square-sum error of
     # 5% or more.
     h = 200
-    w = build_weight_plan(h, 0).weights
+    w = dense_weights(build_weight_plan(h, 0))
     scaled = float((w**2).sum()) / h**4
     assert scaled == pytest.approx(math.pi**2 / 3 - 3, rel=0.05), (
         f"scaled square sum {scaled:.5f}; continuum limit "

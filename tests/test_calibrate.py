@@ -117,6 +117,31 @@ def test_solver_rejects_target_at_or_below_window():
         solve_threshold(50.0, 100)
 
 
+def test_solver_rejects_non_finite_target():
+    for target in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="finite"):
+            solve_threshold(target, 100)
+
+
+def test_arl_past_float_range_is_infinite_and_huge_targets_solve():
+    assert theoretical_arl(40.0, 100) == math.inf
+    res = solve_threshold(1e300, 100)
+    assert res.achieved_arl == pytest.approx(1e300, rel=1e-6)
+    assert theoretical_arl(res.threshold, 100) == pytest.approx(1e300, rel=1e-6)
+
+
+def test_nan_threshold_is_rejected():
+    nan = math.nan
+    for call in (
+        lambda: theoretical_arl(nan, 100),
+        lambda: run_length_cdf(150.0, 100, nan),
+        lambda: edd_upper_bound(nan, 80, 0, 50.0, 1.0),
+        lambda: min_detectable_change(nan, 80, 7.0),
+    ):
+        with pytest.raises(ConfigurationError, match="threshold"):
+            call()
+
+
 def test_asymptotic_regime_warning_fires_for_large_window():
     with pytest.warns(RuntimeWarning):
         theoretical_arl(2.0, 500)

@@ -125,6 +125,23 @@ def test_cli_calibrate_infeasible_target(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_calibrate_non_finite_target_exits_one(capsys):
+    for arl in ("inf", "nan"):
+        rc = main(["calibrate", "--arl", arl, "--window", "100"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("covshift: error:")
+        assert len(captured.err.splitlines()) == 1
+
+
+def test_cli_calibrate_huge_target_solves(capsys):
+    rc = main(["calibrate", "--arl", "1e300", "--window", "100"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["achieved_arl"] == pytest.approx(1e300, rel=1e-6)
+
+
 def test_cli_usage_error_exits_one():
     with pytest.raises(SystemExit) as exc:
         main(["calibrate", "--arl", "1000"])
@@ -224,6 +241,17 @@ def test_cli_monitor_clean_stream_exits_zero(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     final = json.loads(lines[-1])
     assert final["stopping_time"] is None
+
+
+def test_cli_monitor_rejects_nan_threshold(tmp_path, capsys):
+    train_csv, stream_csv, summary_path = setup_monitoring(tmp_path)
+    capsys.readouterr()
+    rc = main(["monitor", "--summary", str(summary_path), "--a", "nan",
+               "--csv", str(stream_csv)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "threshold" in captured.err
 
 
 def test_cli_monitor_reads_jsonl_stdin(tmp_path, capsys, monkeypatch):
@@ -354,6 +382,23 @@ def test_cli_simulate_edd_rejects_rho_outside_model_domain(tmp_path, capsys):
         assert rc == 1
         assert captured.out == ""
         assert "rho" in captured.err
+
+
+def test_cli_simulate_rejects_negative_replicates_and_workers(tmp_path, capsys):
+    scenario = tmp_path / "arl.json"
+    base = {"kind": "arl", "p": 5, "window": 20, "threshold": 3.0}
+    for field, flags, word in [
+        (-4, [], "replicates"),
+        (0, ["--replicates", "-4"], "replicates"),
+        (2, ["--workers", "-3"], "workers"),
+        (2, ["--workers", "0"], "workers"),
+    ]:
+        scenario.write_text(json.dumps({**base, "replicates": field}))
+        rc = main(["simulate", "--scenario", str(scenario), *flags])
+        captured = capsys.readouterr()
+        assert rc == 1, flags
+        assert captured.out == ""
+        assert word in captured.err
 
 
 def test_cli_simulate_m_selection(tmp_path, capsys):

@@ -56,6 +56,12 @@ def test_window_mismatch_rejected():
         Detector(summary, DetectorConfig(window=50, threshold=3.0))
 
 
+def test_config_rejects_nan_and_non_positive_threshold():
+    for threshold in (float("nan"), 0.0, -1.0):
+        with pytest.raises(ConfigurationError):
+            DetectorConfig(window=10, threshold=threshold)
+
+
 def test_constant_stream_never_alarms_from_cold_start():
     train, summary = make_summary()
     det = Detector(summary, DetectorConfig(window=40, threshold=1e-6), prime=None)
@@ -137,14 +143,14 @@ def test_incremental_equals_batch_recompute():
 def test_detector_survives_a_pickle_round_trip():
     train, summary = make_summary(p=5, window=30, m=1)
     det = Detector(summary, DetectorConfig(window=30, threshold=1e9))
-    det.plan.weights  # a built dense W is held weakly and must not break pickling
     rows = np.random.default_rng(2).standard_normal((6, 5))
     for x in rows[:3]:
         det.step(x)
     restored = pickle.loads(pickle.dumps(det))
     for x in rows[3:]:
         assert restored.step(x).std_stat == det.step(x).std_stat
-    assert np.array_equal(restored.plan.weights, det.plan.weights)
+    assert np.array_equal(restored.plan.u, det.plan.u)
+    assert np.array_equal(restored.plan.v, det.plan.v)
 
 
 def test_detection_is_deterministic():

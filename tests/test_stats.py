@@ -15,7 +15,7 @@ from covshift import (
     statistic_windowed,
 )
 from covshift.errors import ConfigurationError, DataError
-from tests.test_weights import brute_profile_weight, profile_weight_matrix
+from tests.test_weights import brute_profile_weight, dense_weights, profile_weight_matrix
 
 
 def brute_statistic(x, mean, m):
@@ -57,6 +57,19 @@ def test_batch_matches_oracle_on_random_data():
         assert statistic_batch(x, mean, plan) == pytest.approx(
             brute_statistic(x, mean, m), rel=1e-10
         )
+
+
+def test_batch_matches_dense_weights_with_outliers():
+    # rows 1e3 times the typical one make a few squared products dominate
+    rng = np.random.default_rng(17)
+    for n, m, p in [(9, 0, 3), (40, 2, 5), (300, 1, 4), (600, 3, 2)]:
+        plan = build_weight_plan(n, m)
+        x = rng.standard_normal((n, p))
+        x[rng.random(n) < 0.02] *= 1e3
+        mean = rng.standard_normal(p) * 0.1
+        expected = float((dense_weights(plan) * ((x - mean) @ (x - mean).T) ** 2).sum()) / n**2
+        err = statistic_batch(x, mean, plan) - expected
+        assert abs(err) <= 1e-12 * term_scale(x, mean, plan), (n, m)
 
 
 def test_statistic_scales_as_fourth_power():
@@ -137,15 +150,21 @@ def test_profile_statistic_matches_dense_oracle_at_every_split():
 
 
 def test_profile_statistic_memory_is_linear_in_length():
-    # a dense n x n array at n=3000 is 72 MB; the profile holds 256 Gram rows
+    # a dense n x n array at n=3000 is 72 MB; the profile and the batch
+    # statistic hold 256 Gram rows
     x = np.random.default_rng(4).standard_normal((3000, 20))
-    tracemalloc.start()
-    try:
-        profile_statistic(x, np.zeros(20), 1, 1500)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 40e6
+    plan = build_weight_plan(3000, 1)
+    for run in (
+        lambda: profile_statistic(x, np.zeros(20), 1, 1500),
+        lambda: statistic_batch(x, np.zeros(20), plan),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 def brute_statistic_single_t(x, mean, m, t):
@@ -269,7 +288,7 @@ def ma_stream(rng, steps, p, m):
 def term_scale(win, mean, plan):
     """sum |W| G^2 / H^2: the size of the terms the statistic adds up."""
     xc = win - mean
-    return float((np.abs(plan.weights) * (xc @ xc.T) ** 2).sum()) / plan.length**2
+    return float((np.abs(dense_weights(plan)) * (xc @ xc.T) ** 2).sum()) / plan.length**2
 
 
 def test_windowed_matches_batch_over_long_soak():

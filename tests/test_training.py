@@ -21,6 +21,7 @@ from covshift.errors import (
     DependenceTooStrongError,
     InsufficientTrainingError,
 )
+from tests.test_weights import dense_weights
 
 
 def test_trace_constant_rows_gives_norm_fourth():
@@ -181,6 +182,23 @@ def test_stationarity_critical_value_and_size_smoke():
     res = stationarity_test(x, x.mean(axis=0), 0, alpha=0.05)
     assert res.z_alpha == pytest.approx(1.6448536, rel=1e-6)
     assert res.rejected == (res.statistic > res.z_alpha)
+
+
+def test_stationarity_statistic_matches_dense_weights():
+    # from the rows and from a held Gram, against sum W G^2 / n0^2 / sd
+    rng = np.random.default_rng(23)
+    for n0, p, m in [(60, 8, 0), (300, 5, 2)]:
+        x = rng.standard_normal((n0, p))
+        x[rng.random(n0) < 0.02] *= 1e3
+        mean = x.mean(axis=0)
+        gram = (x - mean) @ (x - mean).T
+        w = dense_weights(build_weight_plan(n0, m))
+        sd = estimate_null_sd(x, mean, m, n0)
+        expected = float((w * gram**2).sum()) / n0**2 / sd
+        scale = float((np.abs(w) * gram**2).sum()) / n0**2 / sd
+        for held in (None, gram):
+            got = stationarity_test(x, mean, m, _gram=held).statistic
+            assert abs(got - expected) <= 1e-12 * scale, (n0, m, held is None)
 
 
 def test_stationarity_flags_change_inside_training():

@@ -1,6 +1,5 @@
-import gc
 import math
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +17,13 @@ def brute_profile_weight(t, i, j, n, m):
     if i >= t + 1 and j >= t + 1:
         return (t - m) / (n - t - m - 1)
     return -(t - m) * (n - t - m) / (t * (n - t) - m * (m + 1) / 2)
+
+
+def dense_weights(plan):
+    """Test oracle: the dense n x n W of a plan, u(max) + v(min) off the band
+    and zero on it."""
+    lower = np.tril(plan.u[:, None] + plan.v[None, :], -(plan.dep_order + 1))
+    return lower + lower.T
 
 
 def profile_weight_matrix(t, n, m):
@@ -90,7 +96,7 @@ def test_plan_matches_brute_force_oracle():
     for n, m in cases + [(40, 2)]:
         plan = build_weight_plan(n, m)
         expected = brute_weight_matrix(n, m)
-        assert np.allclose(plan.weights, expected, rtol=1e-12, atol=1e-12)
+        assert np.allclose(dense_weights(plan), expected, rtol=1e-12, atol=1e-12)
 
 
 def test_profile_weight_matrix_matches_scalar_formula():
@@ -122,7 +128,7 @@ def test_per_slice_banded_weights_sum_to_zero():
 def test_plan_invariants_hold(m, extra):
     n = 2 * m + 5 + extra
     plan = build_weight_plan(n, m)
-    w = plan.weights
+    w = dense_weights(plan)
     assert w.shape == (n, n)
     assert np.array_equal(w, w.T)
     idx = np.arange(n)
@@ -137,51 +143,49 @@ def test_plan_rejects_short_length():
     assert "7" in str(err.value)  # names the minimum length 2M+5
 
 
-def test_plan_weights_are_read_only():
-    plan = build_weight_plan(12, 0)
-    with pytest.raises(ValueError):
-        plan.weights[0, 1] = 99.0
-
-
 def test_plan_vectors_rebuild_dense_weights():
     for n, m in [(5, 0), (14, 1), (40, 2), (37, 3)]:
         plan = build_weight_plan(n, m)
-        u, v, w = plan.u, plan.v, plan.weights
+        u, v, w = plan.u, plan.v, dense_weights(plan)
         assert u.shape == v.shape == (n,)
-        lower = np.tril(u[:, None] + v[None, :], -(m + 1))
-        assert np.array_equal(w.view(np.int64), (lower + lower.T).view(np.int64))
         for i in range(n):
             for j in range(i - m):  # j < i - m: off the band
-                assert w[i, j] == u[i] + v[j]
-        for arr in (u, v, w):
+                assert w[i, j] == w[j, i] == u[i] + v[j]
+        for arr in (u, v):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
 
-def test_dense_weights_are_shared_while_held_and_not_kept():
-    plan = build_weight_plan(30, 1)
-    w = plan.weights
-    assert plan.weights is w
-    ref = weakref.ref(w)
-    del w
-    gc.collect()
-    assert ref() is None  # the cached plan holds no n x n array
+def shifted_sum(w, h1, h2):
+    """sum_{i,j} W(i,j) W(i-h1, j+h2) with W zero outside 0..n-1, by padding."""
+    n, pad = w.shape[0], max(abs(h1), abs(h2))
+    wp = np.zeros((n + 2 * pad, n + 2 * pad))
+    wp[pad:pad + n, pad:pad + n] = w
+    return float((w * wp[pad - h1:pad - h1 + n, pad + h2:pad + h2 + n]).sum())
 
 
 def test_lag_weight_sums_match_direct_shifts():
-    plan = build_weight_plan(14, 1)
-    w = plan.weights
-    n = w.shape[0]
-    sums = lag_weight_sums(plan)
-    assert set(sums) == {(h1, h2) for h1 in (-1, 0, 1) for h2 in (-1, 0, 1)}
-    for (h1, h2), got in sums.items():
-        expected = 0.0
-        for i in range(n):
-            for j in range(n):
-                i2, j2 = i - h1, j + h2
-                if 0 <= i2 < n and 0 <= j2 < n:
-                    expected += w[i, j] * w[i2, j2]
-        assert got == pytest.approx(expected, rel=1e-12)
+    cases = [(n, m) for m in (0, 1, 2, 3) for n in range(2 * m + 5, 2 * m + 12)]
+    for n, m in cases + [(300, 2)]:
+        plan = build_weight_plan(n, m)
+        w = dense_weights(plan)
+        sums = lag_weight_sums(plan)
+        assert set(sums) == {(h1, h2) for h1 in range(-m, m + 1) for h2 in range(-m, m + 1)}
+        for (h1, h2), got in sums.items():
+            assert got == pytest.approx(shifted_sum(w, h1, h2), rel=1e-12), (n, m, h1, h2)
+
+
+def test_lag_weight_sums_memory_is_linear_in_length():
+    # a dense n x n W at n=3000 is 72 MB; the sums need O(n) vectors
+    plan = build_weight_plan(3000, 2)
+    lag_weight_sums.cache_clear()
+    tracemalloc.start()
+    try:
+        lag_weight_sums(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_square_sum_approaches_continuum_limit():
@@ -190,7 +194,7 @@ def test_square_sum_approaches_continuum_limit():
     limit = math.pi**2 / 3.0 - 3.0
     vals = {}
     for n in (100, 200, 400):
-        w = build_weight_plan(n, 0).weights
+        w = dense_weights(build_weight_plan(n, 0))
         vals[n] = float((w**2).sum()) / n**4
     assert abs(vals[200] - limit) < 0.003
     assert abs(vals[400] - limit) < abs(vals[200] - limit) < abs(vals[100] - limit)
