@@ -2,7 +2,8 @@
 
 Workflow: fit a TrainingSummary on a stable block (`fit_training`), pick an
 alarm threshold from a false-alarm budget (`solve_threshold`), then feed new
-observations to a `Detector` one at a time.  After an alarm, `localize`
+observations to a `Detector` one at a time (`step`) or a block at a time
+(`scan`).  After an alarm, `localize`
 estimates where the change happened.  `simulate` provides synthetic streams
 and Monte Carlo drivers for validating the analytics.
 """
@@ -27,7 +28,13 @@ from .errors import (
     DetectorFinishedError,
     InsufficientTrainingError,
 )
-from .io import load_summary, read_csv_matrix, read_jsonl_stream, save_summary
+from .io import (
+    load_summary,
+    read_csv_matrix,
+    read_jsonl_batches,
+    read_jsonl_stream,
+    save_summary,
+)
 from .simulate import (
     GeneratorSpec,
     McResult,
@@ -128,6 +135,7 @@ __all__ = [
     "load_summary",
     "read_csv_matrix",
     "read_jsonl_stream",
+    "read_jsonl_batches",
     "save_summary",
     # errors
     "CalibrationInfeasibleError",

@@ -3,7 +3,9 @@
 Subcommands:
   calibrate  solve the alarm threshold for a target average run length
   train      fit a training summary from a CSV of observations
-  monitor    stream observations against a saved summary, alarm on threshold
+  monitor    stream observations against a saved summary, alarm on threshold;
+             the rows of each read are scored together and their JSON lines
+             written and flushed before the next read blocks
   simulate   run a scenario file (ARL / detection delay / order selection)
 
 Exit codes: 0 success (monitor: stream ended with no alarm), 1 usage or input
@@ -22,7 +24,7 @@ import numpy as np
 from .calibrate import edd_upper_bound, solve_threshold, theoretical_arl
 from .detector import Detector, DetectorConfig
 from .errors import DataError
-from .io import load_summary, read_csv_matrix, read_jsonl_stream, save_summary
+from .io import load_summary, read_csv_matrix, read_jsonl_batches, save_summary
 from .simulate import (
     GeneratorSpec,
     PostChange,
@@ -36,6 +38,9 @@ from .simulate import (
 from .training import FitConfig, fit_training
 
 __all__ = ["main", "build_parser"]
+
+# rows of a --csv stream that monitor scores, and writes out, at a time
+_CSV_BLOCK = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,17 +131,20 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _monitor_source(args: argparse.Namespace):
+    """Blocks of observations: what each read of a JSONL stream returned, or
+    the CSV matrix _CSV_BLOCK rows at a time."""
     if args.csv is not None and args.jsonl is not None:
         raise DataError("pass at most one of --csv and --jsonl")
     if args.csv is not None:
-        for row in read_csv_matrix(args.csv):
-            yield row
+        x = read_csv_matrix(args.csv)
+        for start in range(0, x.shape[0], _CSV_BLOCK):
+            yield x[start:start + _CSV_BLOCK]
         return
     if args.jsonl is not None:
-        with open(args.jsonl) as handle:
-            yield from read_jsonl_stream(handle)
+        with open(args.jsonl, "rb") as handle:
+            yield from read_jsonl_batches(handle)
         return
-    yield from read_jsonl_stream(sys.stdin)
+    yield from read_jsonl_batches(sys.stdin.buffer)
 
 
 def _cmd_monitor(args: argparse.Namespace) -> int:
@@ -159,18 +167,23 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
         prime = train_rows[-(summary.window - 1) :] if summary.window > 1 else None
     detector = Detector(summary, config, prime=prime)
     consumed: list = []
-    alarmed = False
-    for x in _monitor_source(args):
-        result = detector.step(x)
+    alarm = None
+    # every block is answered, one write and one flush, before the next read
+    for block in _monitor_source(args):
+        start = detector.steps
+        alarm, std_stats = detector.scan(block)
         if train_rows is not None:
-            consumed.append(np.asarray(x, dtype=np.float64))
-        print(
-            json.dumps(
-                {"index": result.index, "std_stat": result.std_stat, "state": result.state}
-            )
-        )
-        if result.state == "alarm":
-            alarmed = True
+            consumed.append(block[:len(std_stats)])
+        sys.stdout.write("".join(
+            json.dumps({
+                "index": start + k + 1,
+                "std_stat": stat,
+                "state": "filling" if stat is None else "alarm" if k == alarm else "monitoring",
+            }) + "\n"
+            for k, stat in enumerate(std_stats)
+        ))
+        sys.stdout.flush()
+        if alarm is not None:
             break
     history = None
     if train_rows is not None and consumed:
@@ -185,13 +198,35 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     brief["n_evaluated"] = len(payload["trajectory"])
     del brief["trajectory"]
     print(json.dumps(brief, sort_keys=True))
-    return 2 if alarmed else 0
+    return 2 if alarm is not None else 0
 
 
-def _require(scenario: dict, key: str):
+_REQUIRED = object()
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", dict: "an object",
+               type(None): "null"}
+
+
+def _field(scenario: dict, key: str, kind, default=_REQUIRED, prefix: str = ""):
+    """scenario[key], or default when absent, if its JSON type is kind: int,
+    float, str, dict or a tuple of them; float takes an integer too and
+    returns a float, and a bool is neither.  DataError names the field."""
+    name = prefix + key
     if key not in scenario:
-        raise DataError(f"scenario is missing the {key!r} field")
-    return scenario[key]
+        if default is _REQUIRED:
+            raise DataError(f"scenario is missing the {name!r} field")
+        return default
+    value = scenario[key]
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    accepted = kinds + (int,) if float in kinds else kinds
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        expected = " or ".join(_JSON_TYPES[k] for k in kinds)
+        raise DataError(f"scenario field {name!r} must be {expected}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+# TrainingRecipe's fields and their JSON types
+_RECIPE_FIELDS = {"n0": int, "dep_order_policy": (str, int), "alpha": float,
+                  "epsilon": float, "max_order": int}
 
 
 def _print_table(rows: list) -> None:
@@ -202,12 +237,18 @@ def _print_table(rows: list) -> None:
 
 def _scenario_threshold(scenario: dict, window: int) -> float:
     if "threshold" in scenario:
-        return float(scenario["threshold"])
-    return solve_threshold(float(_require(scenario, "target_arl")), window).threshold
+        return _field(scenario, "threshold", float)
+    return solve_threshold(_field(scenario, "target_arl", float), window).threshold
 
 
 def _recipe_from(scenario: dict) -> TrainingRecipe:
-    return TrainingRecipe(**scenario.get("recipe", {}))
+    recipe = _field(scenario, "recipe", dict, {})
+    unknown = sorted(set(recipe) - set(_RECIPE_FIELDS))
+    if unknown:
+        raise DataError(f"scenario field 'recipe' has unknown keys {unknown}")
+    return TrainingRecipe(**{
+        key: _field(recipe, key, _RECIPE_FIELDS[key], prefix="recipe.") for key in recipe
+    })
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -218,10 +259,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise DataError(f"{args.scenario}: invalid JSON ({exc.msg})") from None
     if not isinstance(scenario, dict):
         raise DataError(f"{args.scenario}: expected a JSON object")
-    kind = _require(scenario, "kind")
-    seed = args.seed if args.seed is not None else scenario.get("seed", 0)
+    kind = _field(scenario, "kind", str)
+    seed = args.seed if args.seed is not None else _field(scenario, "seed", int, 0)
     replicates = (
-        args.replicates if args.replicates is not None else scenario.get("replicates", 0)
+        args.replicates if args.replicates is not None
+        else _field(scenario, "replicates", int, 0)
     )
     if replicates < 0:
         raise DataError(f"replicates must be >= 0 (0: theory only), got {replicates}")
@@ -231,15 +273,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if kind == "m_selection":
         if replicates < 1:
             raise DataError("m_selection needs replicates >= 1")
-        true_order = int(_require(scenario, "true_order"))
+        true_order = _field(scenario, "true_order", int)
         counts = dep_order_study(
             true_order=true_order,
-            p=int(_require(scenario, "p")),
-            n0=int(_require(scenario, "n0")),
+            p=_field(scenario, "p", int),
+            n0=_field(scenario, "n0", int),
             replicates=replicates,
             seed=seed,
-            epsilon=float(scenario.get("epsilon", 0.05)),
-            max_order=int(scenario.get("max_order", 10)),
+            epsilon=_field(scenario, "epsilon", float, 0.05),
+            max_order=_field(scenario, "max_order", int, 10),
         )
         rows = [("replicates", replicates), ("true order", true_order)]
         for m in sorted(counts):
@@ -256,13 +298,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(json.dumps(payload, sort_keys=True))
         return 0
 
-    window = int(_require(scenario, "window"))
+    window = _field(scenario, "window", int)
     threshold = _scenario_threshold(scenario, window)
-    p = int(_require(scenario, "p"))
-    dep_order = int(scenario.get("dep_order", 0))
-    innovation = scenario.get("innovation", "gaussian")
-    pre_base = scenario.get("pre_base", "identity")
+    p = _field(scenario, "p", int)
+    dep_order = _field(scenario, "dep_order", int, 0)
+    innovation = _field(scenario, "innovation", str, "gaussian")
+    pre_base = _field(scenario, "pre_base", str, "identity")
     recipe = _recipe_from(scenario)
+    max_steps = _field(scenario, "max_steps", (int, type(None)), None)
     workers = args.workers
 
     if kind == "arl":
@@ -289,7 +332,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 threshold,
                 window,
                 replicates,
-                max_steps=scenario.get("max_steps"),
+                max_steps=max_steps,
                 seed=seed,
                 workers=workers,
             )
@@ -304,9 +347,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return 0
 
     if kind == "edd":
-        model = _require(scenario, "model")
-        rho = float(_require(scenario, "rho"))
-        change_at = int(scenario.get("change_at", recipe.n0))
+        model = _field(scenario, "model", str)
+        rho = _field(scenario, "rho", float)
+        change_at = _field(scenario, "change_at", int, recipe.n0)
         spec = GeneratorSpec(
             p=p,
             dep_order=dep_order,
@@ -348,7 +391,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 window,
                 replicates,
                 seed=seed,
-                max_steps=scenario.get("max_steps"),
+                max_steps=max_steps,
                 workers=workers,
             )
             rows += [

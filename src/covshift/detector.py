@@ -1,10 +1,14 @@
-"""Online monitoring: feed observations one at a time, alarm on a threshold.
+"""Online monitoring: feed observations one at a time or a block at a time,
+alarm on a threshold.
 
 A Detector is built from a TrainingSummary (mean, dependence order, null
 standard deviation) and a DetectorConfig (window size, alarm threshold).  Each
 incoming observation updates a rolling window; once the window is full the
-standardized windowed statistic is compared against the threshold.  After an
-alarm, `localize` scans the recorded stream for the most likely change point.
+standardized windowed statistic is compared against the threshold.  `step`
+takes one observation; `scan` takes a block of rows, validates and centers it
+once and stops after the first alarm, with every statistic equal to step's.
+After an alarm, `localize` scans the recorded stream for the most likely
+change point.
 """
 
 from __future__ import annotations
@@ -134,12 +138,32 @@ class Detector:
     def stopping_time(self) -> Optional[int]:
         return self._stopping_time
 
-    def step(self, x: Sequence[float]) -> StepResult:
-        """Consume one observation; returns the monitoring state after it."""
+    def _check_running(self) -> None:
         if self._finished:
             raise DetectorFinishedError(
                 "detector already alarmed; build a new one to keep monitoring"
             )
+
+    def _advance(self, xc: np.ndarray) -> Optional[float]:
+        """Consume one validated, centered observation: store it, score the
+        window once it is full and alarm past the threshold.  Returns the
+        standardized statistic, None while the window fills."""
+        self._steps += 1
+        self._state._store(xc)
+        if not self._state.full:
+            return None
+        raw = statistic_windowed(self._state, self.plan)
+        std_stat = float(raw / self.summary.null_sd)
+        self.trajectory.append(std_stat)
+        if abs(std_stat) > self.config.threshold:
+            self._finished = True
+            self._alarm_stat = std_stat
+            self._stopping_time = self._steps
+        return std_stat
+
+    def step(self, x: Sequence[float]) -> StepResult:
+        """Consume one observation; returns the monitoring state after it."""
+        self._check_running()
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1 or x.shape[0] != self.summary.p:
             raise DataError(
@@ -148,19 +172,36 @@ class Detector:
             )
         if not np.isfinite(x).all():
             raise DataError("observation contains non-finite values")
-        self._steps += 1
-        self._state._store(x - self._mean)
-        if not self._state.full:
+        std_stat = self._advance(x - self._mean)
+        if std_stat is None:
             return StepResult(self._steps, "filling", None, None)
-        raw = statistic_windowed(self._state, self.plan)
-        std_stat = float(raw / self.summary.null_sd)
-        self.trajectory.append(std_stat)
-        if abs(std_stat) > self.config.threshold:
-            self._finished = True
-            self._alarm_stat = std_stat
-            self._stopping_time = self._steps
+        if self._finished:
             return StepResult(self._steps, "alarm", std_stat, self._steps)
         return StepResult(self._steps, "monitoring", std_stat, None)
+
+    def scan(self, block) -> tuple[Optional[int], list]:
+        """Consume the rows of a (k, p) block in order, up to the first alarm.
+
+        Returns (first_alarm_index, std_stats): the 0-based position in the
+        block of the row that alarmed, or None, and the standardized
+        statistic of every consumed row (None while the window fills).  The
+        rows after an alarm are not consumed, so len(std_stats) rows were.
+        The whole block is validated before any row is consumed, so a bad
+        block leaves the detector as it was.  Every statistic equals the
+        one step would give for the same row.
+        """
+        self._check_running()
+        x = _as_matrix(block)
+        if x.shape[1] != self.summary.p:
+            raise DataError(
+                f"observations have {x.shape[1]} columns, expected {self.summary.p}"
+            )
+        std_stats: list = []
+        for k, xc in enumerate(x - self._mean):
+            std_stats.append(self._advance(xc))
+            if self._finished:
+                return k, std_stats
+        return None, std_stats
 
     def build_report(self, history=None) -> DetectionReport:
         """Assemble a DetectionReport; pass the full observed stream (training

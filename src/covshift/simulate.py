@@ -390,10 +390,8 @@ def _one_run(
     while det.steps < max_steps:
         block = gen.take(min(chunk, max_steps - det.steps))
         chunk = min(2 * chunk, _TAKE_CAP)
-        for row in block:
-            result = det.step(row)
-            if result.state == "alarm":
-                return result.stopping_time, True
+        if det.scan(block)[0] is not None:
+            return det.stopping_time, True
     return max_steps, False
 
 

@@ -85,7 +85,8 @@ class WeightPlan:
     Off the band |i-j| <= dep_order, W(i, j) = u(max(i,j)) + v(min(i,j)),
     and W is zero on the band; u and v are read-only length-n vectors,
     shareable across threads, and the only form of W: the batch, windowed
-    and lag-sum computations all read them directly.
+    and lag-sum computations all read them directly.  A plan pickles as its
+    (length, dep_order) and unpickles to build_weight_plan's cached plan.
     """
 
     length: int
@@ -96,6 +97,10 @@ class WeightPlan:
     def __post_init__(self):
         self.u.setflags(write=False)
         self.v.setflags(write=False)
+
+    def __reduce__(self):
+        # unpickle to the cached plan, whose vectors are read-only
+        return build_weight_plan, (self.length, self.dep_order)
 
 
 @lru_cache(maxsize=64)

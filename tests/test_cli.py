@@ -1,8 +1,10 @@
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from covshift import (
     gen_stream,
     load_summary,
     read_csv_matrix,
+    read_jsonl_batches,
     read_jsonl_stream,
     save_summary,
 )
@@ -96,6 +99,54 @@ def test_read_jsonl_stream_rejects_non_numeric_elements():
 def test_read_jsonl_stream_accepts_true_outside_x():
     line = '{"t": 0, "note": "true", "flag": false, "x": [1, 2.5]}\n'
     assert np.array_equal(next(read_jsonl_stream(io.StringIO(line))), [1.0, 2.5])
+
+
+class Trickle:
+    """A binary stream whose every read1 returns at most 7 bytes."""
+
+    def __init__(self, data: bytes):
+        self.data = data
+
+    def read1(self, size: int) -> bytes:
+        piece, self.data = self.data[:min(7, size)], self.data[7:]
+        return piece
+
+
+def batches_until_error(stream) -> tuple[list, Exception]:
+    got = []
+    with pytest.raises(DataError) as err:
+        for block in read_jsonl_batches(stream):
+            got.append(block)
+    return got, err.value
+
+
+def test_read_jsonl_batches_carries_lines_across_reads():
+    text = ('{"t": 0, "x": [1.0, 2.0]}\r\n\n  \n{"t": 1, "x": [3, 4.5]}\n'
+            '{"t": 2, "x": [5.0, 6.0]}')  # CRLF, blank lines, no final newline
+    expected = list(read_jsonl_stream(io.StringIO(text)))
+    assert len(expected) == 3
+    for stream in (Trickle(text.encode()), io.BytesIO(text.encode())):
+        blocks = list(read_jsonl_batches(stream))
+        assert all(b.ndim == 2 and b.dtype == np.float64 for b in blocks)
+        assert np.array_equal(np.vstack(blocks), expected)
+    assert len(list(read_jsonl_batches(Trickle(text.encode())))) == 3  # one per read
+    # the last line is only complete at the end of the stream
+    assert len(list(read_jsonl_batches(io.BytesIO(text.encode())))) == 2
+    assert list(read_jsonl_batches(io.BytesIO(b"\n\n"))) == []
+
+
+def test_read_jsonl_batches_yields_good_rows_before_naming_a_bad_line():
+    good = '{"t": 0, "x": [1.0, 2.0]}\r\n\n'  # two lines each
+    for bad, line in [('{"t": 9, "x": [1.0, NaN]}', 7), ('{"t": 9}', 7),
+                      ('{"t": 9, "x": [1.0, 2.0, 3.0]}', 7), ("not json", 7),
+                      ('{"t": 9, "x": [1.0, "2"]}', 7)]:
+        data = (3 * good + bad + "\n" + good).encode()
+        for stream in (Trickle(data), io.BytesIO(data)):
+            got, err = batches_until_error(stream)
+            assert np.vstack(got).shape == (3, 2)  # lines 1, 3 and 5
+            assert f"line {line}:" in str(err)
+    got, err = batches_until_error(io.BytesIO(good.encode() + b'{"x": [1, 2]}\xff\n'))
+    assert len(got) == 1 and "line 3" in str(err)
 
 
 def test_summary_save_load_round_trip(tmp_path):
@@ -260,10 +311,82 @@ def test_cli_monitor_reads_jsonl_stdin(tmp_path, capsys, monkeypatch):
     payload = "".join(
         json.dumps({"t": k, "x": list(row)}) + "\n" for k, row in enumerate(rows)
     )
-    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(payload.encode())))
     rc = main(["monitor", "--summary", str(summary_path), "--a", "3.0",
                "--train-csv", str(train_csv)])
     assert rc == 2
+
+
+def test_cli_monitor_sources_write_identical_lines(tmp_path, capsys, monkeypatch):
+    # an alarming stream that crosses a CSV block, and a clean longer one
+    for rho, level, post_rows in ((0.8, "3.0", 200), (0.0, "50", 600)):
+        train_csv, stream_csv, summary_path = setup_monitoring(
+            tmp_path, rho=rho, post_rows=post_rows)
+        rows = read_csv_matrix(str(stream_csv))
+        payload = "".join(
+            json.dumps({"t": k, "x": list(row)}) + ("\r\n" if k % 2 else "\n")
+            for k, row in enumerate(rows)
+        )
+        jsonl = tmp_path / "stream.jsonl"
+        jsonl.write_text(payload, newline="")
+        args = ["monitor", "--summary", str(summary_path), "--a", level,
+                "--train-csv", str(train_csv)]
+        outs = []
+        for source in (["--csv", str(stream_csv)], ["--jsonl", str(jsonl)], []):
+            monkeypatch.setattr(
+                sys, "stdin", io.TextIOWrapper(io.BytesIO(payload.encode())))
+            capsys.readouterr()
+            rc = main(args + source)
+            outs.append((rc, capsys.readouterr().out))
+        assert outs[0][0] == (2 if rho else 0)
+        assert outs[1] == outs[0] and outs[2] == outs[0]
+        lines = outs[0][1].splitlines()
+        assert len(lines) == (json.loads(lines[-1])["stopping_time"] or len(rows)) + 1
+
+
+def test_cli_monitor_answers_rows_before_a_bad_line(tmp_path, capsys, monkeypatch):
+    train_csv, stream_csv, summary_path = setup_monitoring(tmp_path)
+    row = read_csv_matrix(str(stream_csv))[0]
+    payload = json.dumps({"t": 0, "x": list(row)}) + '\n{"t": 1, "x": [1, 2]}\n'
+    path = tmp_path / "bad.jsonl"
+    path.write_text(payload)
+    for source in (["--jsonl", str(path)], []):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(payload.encode())))
+        capsys.readouterr()
+        rc = main(["monitor", "--summary", str(summary_path), "--a", "3.0", *source])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == '{"index": 1, "std_stat": null, "state": "filling"}\n'
+        assert captured.err.startswith("covshift: error: line 2:")
+        assert captured.err.count("\n") == 1
+
+
+def test_cli_monitor_answers_a_row_while_stdin_stays_open(tmp_path):
+    train_csv, stream_csv, summary_path = setup_monitoring(tmp_path)
+    row = read_csv_matrix(str(stream_csv))[0]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "covshift.cli", "monitor", "--summary", str(summary_path),
+         "--a", "3.0"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        proc.stdin.write((json.dumps({"t": 0, "x": list(row)}) + "\n").encode())
+        proc.stdin.flush()
+        answer = []
+        reader = threading.Thread(target=lambda: answer.append(proc.stdout.readline()))
+        reader.start()
+        reader.join(timeout=20)
+        assert not reader.is_alive(), "no answer while stdin is open"
+        assert json.loads(answer[0]) == {"index": 1, "std_stat": None, "state": "filling"}
+        out, err = proc.communicate(timeout=60)  # closes stdin
+    finally:
+        proc.kill()
+        proc.wait(timeout=20)
+    assert proc.returncode == 0, err
+    assert json.loads(out)["stopping_time"] is None
 
 
 def test_cli_monitor_jsonl_names_the_bad_line(tmp_path, capsys):
@@ -399,6 +522,21 @@ def test_cli_simulate_rejects_negative_replicates_and_workers(tmp_path, capsys):
         assert rc == 1, flags
         assert captured.out == ""
         assert word in captured.err
+
+
+def test_cli_simulate_rejects_fields_of_the_wrong_type(tmp_path, capsys):
+    scenario = tmp_path / "arl.json"
+    base = {"kind": "arl", "p": 5, "window": 20, "threshold": 3.0}
+    for field, value in [("replicates", "2"), ("window", None), ("recipe", [1]),
+                         ("p", True), ("threshold", "3"), ("max_steps", 2.5),
+                         ("recipe", {"n0": "80"}), ("recipe", {"size": 80})]:
+        scenario.write_text(json.dumps({**base, field: value}))
+        rc = main(["simulate", "--scenario", str(scenario)])
+        captured = capsys.readouterr()
+        assert rc == 1, field
+        assert captured.out == ""
+        assert captured.err.startswith("covshift: error:") and field in captured.err
+        assert captured.err.count("\n") == 1
 
 
 def test_cli_simulate_m_selection(tmp_path, capsys):

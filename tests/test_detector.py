@@ -96,6 +96,60 @@ def test_step_after_alarm_raises():
         det.step(rng.standard_normal(30))
 
 
+def scan_stream(p=13, window=20, m=1):
+    """A cold-start detector and a stream that alarms well after the window
+    fills, with the step-by-step statistics as reference."""
+    spec = GeneratorSpec(p=p, dep_order=m, post_change=PostChange("a", 0.8, change_at=240))
+    gen = StreamGenerator(spec, 27)
+    summary = fit_training(gen.take(200), FitConfig(window=window, dep_order_override=m))
+    rows = gen.take(300)
+    config = DetectorConfig(window=window, threshold=3.0)
+    ref = Detector(summary, config, prime=None)
+    stats = []
+    for row in rows:
+        stats.append(ref.step(row).std_stat)
+        if ref.finished:
+            break
+    return summary, config, rows, ref, stats
+
+
+@pytest.mark.parametrize("k", [1, 7, 20, 60])
+def test_scan_matches_step_bit_for_bit(k):
+    summary, config, rows, ref, stats = scan_stream()
+    assert stats[0] is None and stats[19] is not None  # the window fills at row 20
+    assert ref.stopping_time == 58  # mid-block for every k above 1
+    det = Detector(summary, config, prime=None)
+    got, start = [], 0
+    while True:
+        alarm, block_stats = det.scan(rows[start:start + k])
+        got += block_stats
+        if alarm is not None:
+            break
+        assert len(block_stats) == k
+        start += k
+    assert got == stats  # exact, not approximate
+    assert alarm == len(block_stats) - 1 == (ref.stopping_time - 1) % k
+    assert det.steps == det.stopping_time == ref.stopping_time  # later rows not consumed
+    assert det.trajectory == ref.trajectory
+    assert det.build_report() == ref.build_report()
+    with pytest.raises(DetectorFinishedError):
+        det.scan(rows[-k:])
+
+
+def test_scan_rejects_a_bad_block_before_consuming_it():
+    summary, config, rows, ref, stats = scan_stream()
+    det = Detector(summary, config, prime=None)
+    det.scan(rows[:30])
+    trajectory = list(det.trajectory)
+    bad = rows[30:37].copy()
+    bad[2, 4] = np.nan
+    for block in (bad, rows[30:37, :-1], rows[30]):
+        with pytest.raises(DataError):
+            det.scan(block)
+        assert det.steps == 30 and det.trajectory == trajectory
+    assert det.scan(rows[30:37])[1] == stats[30:37]
+
+
 def test_dimension_and_finiteness_validated():
     train, summary = make_summary()
     det = Detector(summary, DetectorConfig(window=40, threshold=3.0))
@@ -151,6 +205,8 @@ def test_detector_survives_a_pickle_round_trip():
         assert restored.step(x).std_stat == det.step(x).std_stat
     assert np.array_equal(restored.plan.u, det.plan.u)
     assert np.array_equal(restored.plan.v, det.plan.v)
+    assert not restored.plan.u.flags.writeable
+    assert not restored.plan.v.flags.writeable
 
 
 def test_detection_is_deterministic():
