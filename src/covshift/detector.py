@@ -82,10 +82,11 @@ class DetectionReport:
 class Detector:
     """Streaming change detector for the covariance structure.
 
-    prime: "auto" pushes the training tail kept in the summary so the first
+    prime: "auto" loads the training tail kept in the summary so the first
     post-training observation already completes the window; an array primes
     with those rows instead; None starts with an empty window (the first
-    window-1 observations are then spent filling it).
+    window-1 observations are then spent filling it).  Priming rows are
+    loaded into the window as one block.
     """
 
     def __init__(
@@ -122,8 +123,7 @@ class Detector:
                     f"priming rows have {rows.shape[1]} columns, expected "
                     f"{self.summary.p}"
                 )
-            for row in rows - self._mean:
-                self._state._store(row)
+            self._state._load(rows - self._mean)
 
     @property
     def steps(self) -> int:

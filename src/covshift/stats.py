@@ -7,9 +7,12 @@ split's weights it profiles where a change happened.  The sliding-window form
 keeps the pairwise products in a ring written one row and one column per
 observation, so each new observation costs O(H * p) for its new products,
 and the statistic, read through the separable weights W(i, j) = u(i) + v(j),
-costs O(H * (M + 1)).  The batch statistic and the split profile share
-one reduction of the squared Gram to off-band row and column sums, a block
-of rows at a time: O(n^2 * p) work and O(n) memory.
+costs O(H * (M + 1)).  An empty window can also be loaded with k rows at
+once (a detector primed from the training tail): one block product gives
+the squared Gram of the last min(k, H) rows, and its row cumulative sums
+fill the ring as k single pushes would.  The batch statistic and the split
+profile share one reduction of the squared Gram to off-band row and column
+sums, a block of rows at a time: O(n^2 * p) work and O(n) memory.
 """
 
 from __future__ import annotations
@@ -182,6 +185,44 @@ class WindowState:
         self._sq[slot, :filled] = sq
         self._newer[:filled] += sq
         self._newer[slot] = 0.0
+        return self
+
+    def _load(self, block: np.ndarray) -> "WindowState":
+        """Fill an empty state with k validated, centered rows at once.
+
+        Leaves the state that k calls of _store would leave, up to the
+        rounding of one block product against k matrix-vector products:
+        the squared Gram of the last min(k, H) rows goes below the ring's
+        diagonal, each newer row's reversed cumulative sums (accumulated
+        newest to oldest, as _store does) above it, and the column sums
+        below the diagonal to _newer.
+        """
+        k, p = block.shape
+        if k == 0:
+            return self
+        h = self.capacity
+        rows = block[-h:]
+        m = rows.shape[0]
+        shift = (k - m) % h  # slot of the oldest row kept
+        self._buf = np.zeros((h, p))
+        self._sq = np.zeros((h, h))
+        ring = self._sq[:m, :m] if shift == 0 else np.empty((m, m))
+        sq = rows @ rows.T
+        sq *= sq
+        own = sq.diagonal().copy()
+        sq *= np.tri(m, k=-1, dtype=bool)  # keep the (newer, older) pairs
+        # ring[i, j] for i older than j is row j's sum from i up to j - 1;
+        # the cumsum leaves zeros on and below the diagonal
+        np.cumsum(sq[:, ::-1], axis=1, out=ring[::-1].T)
+        ring += sq
+        np.fill_diagonal(ring, own)
+        newer = sq.sum(axis=0)
+        if shift:
+            self._sq = np.roll(ring, shift, axis=(0, 1))
+            rows, newer = np.roll(rows, shift, axis=0), np.roll(newer, shift)
+        self._buf[:m] = rows
+        self._newer[:m] = newer
+        self.count = k
         return self
 
     @property

@@ -9,17 +9,30 @@ normal test that the training block itself is covariance-stationary.
 The trace estimator averages products of centered inner products over index
 pairs whose groups {s, s+h1} and {t, t+h2} are separated by more than the
 dependence order, which keeps the two factors independent and the estimator
-unbiased.
+unbiased.  With G the n0 x n0 Gram matrix and D_e its e-th diagonal,
+D_e[i] = G[i, i+e], the pairs above the diagonal with t - s = e contribute
+sum_s D_{e+h2}[s] * D_{e-h1}[s+h1]: a product of two diagonals that both lie
+beyond the band |i - j| <= M, because the separation keeps e - h1 and
+e + h2 above M.  So the estimator reads only the off-band diagonals.  Laid
+out one per row in a zero-padded slab, the two factors over all admissible
+e are two equal-length contiguous slices, and each lag pair's sum is one
+dot product (see _trace_sums); the pairs below the diagonal are those above
+it with the lags swapped.  The band entries, about p times larger than the
+off-band ones, are never read, so nothing is subtracted from them and no
+cancellation can occur.
 
 Centering by the training sample mean leaves a finite-sample offset in the
 Gram matrix: each centered row sums to zero exactly, so the off-band entries
 (pairs far enough apart to be independent) absorb minus the in-band mass
 spread over the row, of order tr{C(0)}/n0.  With p comparable to or larger
-than n0 that offset squares into the trace products and inflates them.  The
-perturbation is exactly additive in the two indices, so re-centering the
-off-band part of the Gram (subtract off-band row means, add back the grand
-mean) removes it without touching the pair signal; the order scan and the
-fitted trace table use the re-centered form.
+than n0 that offset squares into the trace products and inflates them.
+Writing the centered product as g(i,j) = Y_i'Y_j + u_i + u_j, with Y the
+truly-centered observations and u_i the perturbation from estimating the
+mean, the u-part is exactly additive in (i, j).  Off the band the Y-part has
+mean zero, so re-centering the off-band entries (subtract the off-band row
+means r_i and r_j, add back their grand mean) removes the offset without
+touching the pair signal.  The order scan and the fitted trace table use the
+re-centered form, applied to the slab as it is built.
 """
 
 from __future__ import annotations
@@ -150,50 +163,78 @@ def _centered_gram(train: np.ndarray, mean) -> np.ndarray:
     return xc @ xc.T
 
 
-def _offband_recentered(gram: np.ndarray, band: int) -> np.ndarray:
-    """Remove the additive sample-mean offset from the off-band Gram entries.
+def _diagonal_slab(gram: np.ndarray, band: int, recenter: bool) -> np.ndarray:
+    """Off-band diagonals of the symmetric Gram, flattened into one array.
 
-    Writing the centered product as g(i,j) = Y_i'Y_j + u_i + u_j with Y the
-    truly-centered observations and u_i the perturbation from estimating the
-    mean, the u-part is exactly additive in (i, j).  Off the band |i-j| > band
-    the Y-part has mean zero, so subtracting off-band row means and adding
-    back the off-band grand mean cancels the u-part while leaving the pair
-    signal intact.  Only off-band entries of the result are meaningful; the
-    trace products under a separation of at least `band` never read the rest.
+    Row r of the (n - band - 1) x (n + 1) slab holds diagonal d = band + 1 + r,
+    D_d[i] = G[i, i + d] for i < n - d, and zeros after it; the returned
+    array is its flat view.  With recenter=True the off-band sample-mean
+    offset is removed entry by entry, G - (r_i + r_j) + c with r the
+    off-band row means and c their grand mean (see the module docstring).
+    The row sums read the slab twice: down its columns for the entries
+    right of the band, and down the columns of the slab seen with row
+    stride n, whose entry (r, j) is G[j - r, j + band + 1] (zero for j < r),
+    for the entries left of it.
     """
     n = gram.shape[0]
-    idx = np.arange(n)
-    counts = np.maximum(idx - band, 0) + np.maximum(n - 1 - band - idx, 0)
-    total = int(counts.sum())
-    if total == 0:
-        return gram
-    # gram is symmetric: upper-triangle column sums are lower-triangle row sums
-    upper = np.triu(gram, band + 1)
-    sums = upper.sum(axis=1) + upper.sum(axis=0)
-    grand = float(sums.sum() / total)
-    row = np.where(counts > 0, sums / np.maximum(counts, 1), grand)
-    return gram - np.add.outer(row, row) + grand
+    rows = max(n - band - 1, 0)
+    slab = np.zeros((rows, n + 1))
+    for r, d in enumerate(range(band + 1, n)):
+        slab[r, :n - d] = gram.diagonal(d)
+    if recenter and rows:
+        sums = slab[:, :n].sum(axis=0)
+        sums[band + 1:] += slab.reshape(-1)[:rows * n].reshape(rows, n)[:, :rows].sum(axis=0)
+        idx = np.arange(n)
+        counts = np.maximum(idx - band, 0) + np.maximum(n - 1 - band - idx, 0)
+        grand = float(sums.sum() / counts.sum())
+        row = np.where(counts > 0, sums / np.maximum(counts, 1), grand)
+        for r, d in enumerate(range(band + 1, n)):
+            diag = slab[r, :n - d]
+            diag -= row[:n - d] + row[d:]
+            diag += grand
+    return slab.reshape(-1)
 
 
-def _trace_raw(gram: np.ndarray, h1: int, h2: int, sep: int) -> float:
-    """Average of G[s, t+h2] * G[s+h1, t] over group-separated (s, t) pairs.
+def _trace_sums(gram: np.ndarray, band: int, pairs, recenter: bool = True):
+    """Yield, for each (h1, h2) in pairs, the average of G[s, t+h2] * G[s+h1, t]
+    over the (s, t) whose groups {s, s+h1} and {t, t+h2} are more than band
+    apart: the raw estimate of tr{C(h1) C(h2)}.
 
-    Separation depends on t - s alone, so on the (s, t) grid the admissible
-    pairs are the triangles above offset sep+|h1|+1 and below -(sep+|h2|+1),
-    each of q(q+1)/2 pairs.
+    Separation depends on e = t - s alone.  Above the diagonal the pairs are
+    e >= k = band + max(h1, 0) + max(-h2, 0) + 1, and with D_e the e-th
+    diagonal of G their sum is sum_{e >= k} sum_s D_{e+h2}[s] * D_{e-h1}[s+h1].
+    Both factors sit on diagonals beyond the band, and in the flat slab of
+    _diagonal_slab (row stride n + 1) each is one contiguous slice, the
+    second a fixed offset from the first.  Wherever the two slices pair up
+    entries outside the admissible (e, s), one of the two falls in a row's
+    zero padding, so the sum is one dot.  By symmetry of G the pairs below the diagonal are the pairs above
+    it with h1 and h2 swapped, so the estimate is symmetric in (h1, h2).
+    Each side holds q(q+1)/2 pairs, q = n - |h1| - |h2| - band - 1.  Values
+    are computed as they are drawn, so a caller that stops early pays for
+    no more pairs.
     """
     n = gram.shape[0]
-    q = n - abs(h1) - abs(h2) - sep - 1
-    if q <= 0:
-        raise InsufficientTrainingError(
-            f"no admissible index pairs for lags ({h1}, {h2}) with separation {sep}; "
-            f"need n0 >= {abs(h1) + abs(h2) + sep + 2}"
-        )
-    s_lo, s_end = max(0, -h1), n - max(0, h1)
-    t_lo, t_end = max(0, -h2), n - max(0, h2)
-    terms = gram[s_lo:s_end, t_lo + h2:t_end + h2] * gram[s_lo + h1:s_end + h1, t_lo:t_end]
-    pairs = np.triu(terms, sep + abs(h1) + 1).sum() + np.tril(terms, -sep - abs(h2) - 1).sum()
-    return float(pairs / (q * (q + 1)))
+    width = n + 1
+    slab = _diagonal_slab(gram, band, recenter)
+
+    def upper(h1, h2, q):
+        k = band + max(h1, 0) + max(-h2, 0) + 1
+        a = (k + h2 - band - 1) * width + max(-h1, 0)
+        b = (k - h1 - band - 1) * width + max(h1, 0)
+        length = (q - 1) * width + 1
+        # einsum rather than np.dot: a multithreaded BLAS dot called from
+        # many threads at once (monte_carlo_edd's workers) stalls on the
+        # BLAS thread pool, ~3x slower per replicate at 8 workers
+        return np.einsum("i,i", slab[a:a + length], slab[b:b + length])
+
+    for h1, h2 in pairs:
+        q = n - abs(h1) - abs(h2) - band - 1
+        if q <= 0:
+            raise InsufficientTrainingError(
+                f"no admissible index pairs for lags ({h1}, {h2}) with separation {band}; "
+                f"need n0 >= {abs(h1) + abs(h2) + band + 2}"
+            )
+        yield float((upper(h1, h2, q) + upper(h2, h1, q)) / (q * (q + 1)))
 
 
 def estimate_trace_cross(
@@ -203,33 +244,52 @@ def estimate_trace_cross(
 
     dep_order sets the separation rule: the index groups {s, s+h1} and
     {t, t+h2} must be more than dep_order apart.  With recenter=True the
-    off-band sample-mean offset is removed first (see _offband_recentered);
-    the default keeps the plain average of centered products.  fit_training,
-    the order scan and the null sd all use the re-centered form.
+    off-band sample-mean offset is removed first (see the module
+    docstring); the default keeps the plain average of centered products.
+    fit_training, the order scan and the null sd all use the re-centered
+    form.
     """
     if dep_order < 0:
         raise ConfigurationError(f"dep_order must be >= 0, got {dep_order}")
-    x = _as_matrix(train)
-    gram = _centered_gram(x, mean)
-    if recenter:
-        gram = _offband_recentered(gram, dep_order)
-    return _trace_raw(gram, h1, h2, dep_order)
+    gram = _centered_gram(_as_matrix(train), mean)
+    return next(_trace_sums(gram, dep_order, [(h1, h2)], recenter))
 
 
 def _trace_table(gram: np.ndarray, dep_order: int) -> TraceTable:
+    """Re-centered trace estimates for |h1|, |h2| <= dep_order, each unordered
+    pair computed once (the estimate is symmetric in the two lags)."""
     m = dep_order
-    g = _offband_recentered(gram, m)
-    raw = {}
-    for h1 in range(-m, m + 1):
-        for h2 in range(-m, m + 1):
-            raw[(h1, h2)] = _trace_raw(g, h1, h2, m)
-    entries = {k: 0.5 * (raw[k] + raw[(k[1], k[0])]) for k in raw}
+    lags = range(-m, m + 1)
+    pairs = [(h1, h2) for h1 in lags for h2 in lags if h1 <= h2]
+    sums = dict(zip(pairs, _trace_sums(gram, m, pairs)))
+    entries = {(h1, h2): sums[min(h1, h2), max(h1, h2)] for h1 in lags for h2 in lags}
     return TraceTable(dep_order=m, entries=entries)
 
 
-def estimate_dep_order(
-    train, mean, epsilon: float = 0.05, max_order: int = 10, _gram: np.ndarray | None = None
-) -> int:
+def _check_order_scan(epsilon: float, max_order: int) -> None:
+    if not 0.0 < epsilon < 1.0:
+        raise ConfigurationError(f"epsilon must be in (0, 1), got {epsilon}")
+    if max_order < 0:
+        raise ConfigurationError(f"max_order must be >= 0, got {max_order}")
+
+
+def _dep_order(gram: np.ndarray, epsilon: float, max_order: int) -> int:
+    sums = _trace_sums(gram, max_order, [(h, -h) for h in range(max_order + 1)])
+    denom = next(sums)
+    if denom <= 0.0:
+        raise DegenerateVarianceError(
+            "squared-covariance trace estimate is not positive; training data degenerate"
+        )
+    for h, cross in enumerate(sums, start=1):
+        if cross / denom <= epsilon:
+            return h - 1
+    raise DependenceTooStrongError(
+        f"dependence ratio stayed above {epsilon} through lag {max_order}; "
+        "raise max_order or revisit the data"
+    )
+
+
+def estimate_dep_order(train, mean, epsilon: float = 0.05, max_order: int = 10) -> int:
     """Smallest h-1 such that the lag-h dependence ratio drops below epsilon.
 
     The ratio r(h) = tr{C(h) C(-h)} / tr{C(0) C(0)} is 1 at h=0 by
@@ -237,28 +297,36 @@ def estimate_dep_order(
     separation max_order so they stay unbiased whatever the true order is
     (up to max_order), and the Gram matrix is re-centered off the band to
     strip the sample-mean offset that would otherwise prop up the ratios
-    at large p (see _offband_recentered).
+    at large p (see the module docstring).
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigurationError(f"epsilon must be in (0, 1), got {epsilon}")
-    if max_order < 0:
-        raise ConfigurationError(f"max_order must be >= 0, got {max_order}")
-    x = _as_matrix(train)
-    gram = _centered_gram(x, mean) if _gram is None else _gram
-    gram = _offband_recentered(gram, max_order)
-    denom = _trace_raw(gram, 0, 0, max_order)
-    if denom <= 0.0:
-        raise DegenerateVarianceError(
-            "squared-covariance trace estimate is not positive; training data degenerate"
+    _check_order_scan(epsilon, max_order)
+    return _dep_order(_centered_gram(_as_matrix(train), mean), epsilon, max_order)
+
+
+def _check_table(table: TraceTable, dep_order: int) -> None:
+    if table.dep_order != dep_order:
+        raise ConfigurationError(
+            f"trace table has dep_order {table.dep_order}, expected {dep_order}"
         )
-    for h in range(1, max_order + 1):
-        ratio = _trace_raw(gram, h, -h, max_order) / denom
-        if ratio <= epsilon:
-            return h - 1
-    raise DependenceTooStrongError(
-        f"dependence ratio stayed above {epsilon} through lag {max_order}; "
-        "raise max_order or revisit the data"
-    )
+
+
+def _null_sd(table: TraceTable, window: int) -> float:
+    plan = build_weight_plan(window, table.dep_order)
+    sums = lag_weight_sums(plan)
+    h4 = float(window) ** 4
+    var = 4.0 / h4 * sum(sums[k] * table[k] ** 2 for k in sums)
+    if var <= 0.0:
+        warnings.warn(
+            "null-variance estimate non-positive; falling back to the (0,0) term",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        var = 4.0 / h4 * sums[(0, 0)] * table[(0, 0)] ** 2
+        if var <= 0.0:
+            raise DegenerateVarianceError(
+                "null-variance estimate is zero; training data degenerate"
+            )
+    return float(np.sqrt(var))
 
 
 def estimate_null_sd(
@@ -274,26 +342,25 @@ def estimate_null_sd(
     x = _as_matrix(train)
     if table is None:
         table = _trace_table(_centered_gram(x, mean), dep_order)
-    elif table.dep_order != dep_order:
-        raise ConfigurationError(
-            f"trace table has dep_order {table.dep_order}, expected {dep_order}"
+    else:
+        _check_table(table, dep_order)
+    return _null_sd(table, window)
+
+
+def _check_rows(n0: int, dep_order: int) -> None:
+    if n0 < 2 * dep_order + 5:
+        raise InsufficientTrainingError(
+            f"need at least {2 * dep_order + 5} training rows for dep_order {dep_order}, got {n0}"
         )
-    plan = build_weight_plan(window, dep_order)
-    sums = lag_weight_sums(plan)
-    h4 = float(window) ** 4
-    var = 4.0 / h4 * sum(sums[k] * table[k] ** 2 for k in sums)
-    if var <= 0.0:
-        warnings.warn(
-            "null-variance estimate non-positive; falling back to the (0,0) term",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        var = 4.0 / h4 * sums[(0, 0)] * table[(0, 0)] ** 2
-        if var <= 0.0:
-            raise DegenerateVarianceError(
-                "null-variance estimate is zero; training data degenerate"
-            )
-    return float(np.sqrt(var))
+
+
+def _stationarity(gram: np.ndarray, table: TraceTable, alpha: float) -> StationarityResult:
+    n0 = gram.shape[0]
+    plan = build_weight_plan(n0, table.dep_order)
+    stat_raw = _summed_statistic(lambda i0, i1, j1: gram[i0:i1, :j1], plan)
+    statistic = stat_raw / _null_sd(table, n0)
+    z_alpha = float(ndtri(1.0 - alpha))
+    return StationarityResult(statistic=statistic, z_alpha=z_alpha, rejected=bool(statistic > z_alpha))
 
 
 def stationarity_test(
@@ -309,25 +376,18 @@ def stationarity_test(
     The full-length batch statistic standardized by its estimated null sd is
     asymptotically standard normal; reject when it exceeds the upper-alpha
     normal quantile.  The statistic is read through (u, v) from the off-band
-    row and column sums of the Gram (fit_training passes the one it holds).
+    row and column sums of the Gram.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
     x = _as_matrix(train)
-    n0 = x.shape[0]
-    if n0 < 2 * dep_order + 5:
-        raise InsufficientTrainingError(
-            f"need at least {2 * dep_order + 5} training rows for dep_order {dep_order}, got {n0}"
-        )
+    _check_rows(x.shape[0], dep_order)
     gram = _centered_gram(x, mean) if _gram is None else _gram
-    plan = build_weight_plan(n0, dep_order)
-    stat_raw = _summed_statistic(lambda i0, i1, j1: gram[i0:i1, :j1], plan)
     if table is None:
         table = _trace_table(gram, dep_order)
-    sd = estimate_null_sd(x, mean, dep_order, window=n0, table=table)
-    statistic = stat_raw / sd
-    z_alpha = float(ndtri(1.0 - alpha))
-    return StationarityResult(statistic=statistic, z_alpha=z_alpha, rejected=bool(statistic > z_alpha))
+    else:
+        _check_table(table, dep_order)
+    return _stationarity(gram, table, alpha)
 
 
 @dataclass(frozen=True)
@@ -366,16 +426,12 @@ def fit_training(train, config: FitConfig) -> TrainingSummary:
     if config.dep_order_override is not None:
         m = config.dep_order_override
     else:
-        m = estimate_dep_order(
-            x, mean, epsilon=config.epsilon, max_order=config.max_order, _gram=gram
-        )
-    if n0 < 2 * m + 5:
-        raise InsufficientTrainingError(
-            f"need at least {2 * m + 5} training rows for dep_order {m}, got {n0}"
-        )
+        _check_order_scan(config.epsilon, config.max_order)
+        m = _dep_order(gram, config.epsilon, config.max_order)
+    _check_rows(n0, m)
     table = _trace_table(gram, m)
-    null_sd = estimate_null_sd(x, mean, m, window=config.window, table=table)
-    stationarity = stationarity_test(x, mean, m, alpha=config.alpha, table=table, _gram=gram)
+    null_sd = _null_sd(table, config.window)
+    stationarity = _stationarity(gram, table, config.alpha)
     tail = x[-(config.window - 1):].copy() if config.window > 1 else x[:0].copy()
     return TrainingSummary(
         n0=n0,

@@ -342,6 +342,39 @@ def test_windowed_rounding_stays_within_separable_term_scale():
                 assert abs(err) <= 1e-12 * bound, (h, m, t)
 
 
+def test_primed_window_matches_row_by_row_pushes():
+    # a primed Detector loads its window from one block product; the state
+    # must be the one row-by-row pushes leave, and stay exact as rows follow
+    rng = np.random.default_rng(19)
+    m = 1
+    for h, p in [(7, 3), (40, 30)]:
+        summary = fit_training(ma_stream(rng, 4 * h, p, m),
+                               FitConfig(window=h, dep_order_override=m))
+        plan = build_weight_plan(h, m)
+        for k in (0, 1, h - 1, h, 2 * h + 3):
+            x = ma_stream(rng, k + 3 * h, p, m)
+            det = Detector(summary, DetectorConfig(window=h, threshold=1e12), prime=x[:k])
+            ref = WindowState(h)
+            for row in x[:k]:
+                ref.push(row, summary.mean)
+            assert det._state.count == ref.count == k
+            if k == 0:
+                assert det._state.gram_sq is None
+            else:
+                want = ref.gram_sq
+                err = np.abs(det._state.gram_sq - want).max()
+                assert err <= 1e-13 * np.abs(want).max(), (h, k)
+            for t in range(k, k + 3 * h):
+                res = det.step(x[t])
+                if t < h - 1:
+                    assert res.std_stat is None
+                    continue
+                assert res.std_stat is not None, (h, k, t)  # from the first step when k >= H - 1
+                win = x[t - h + 1:t + 1]
+                err = res.std_stat * summary.null_sd - statistic_batch(win, summary.mean, plan)
+                assert abs(err) <= 1e-12 * term_scale(win, summary.mean, plan), (h, k, t)
+
+
 def test_one_window_state_serves_plans_of_any_dep_order():
     h, p = 23, 3
     rng = np.random.default_rng(12)

@@ -14,6 +14,7 @@ from covshift import (
     population_null_sd,
     stationarity_test,
 )
+from covshift import training
 from covshift.simulate import GeneratorSpec
 from covshift.errors import (
     ConfigurationError,
@@ -78,17 +79,22 @@ def brute_trace_cross(x, mean, h1, h2, sep, recenter):
 
 
 def test_trace_cross_matches_brute_force_oracle():
+    # the second input pads the diagonal slab over many diagonals and has
+    # separations below the lags
     rng = np.random.default_rng(17)
-    x = rng.standard_normal((14, 3))
-    mean = x.mean(axis=0) + 0.1
-    scale = float(np.max(np.abs((x - mean) @ (x - mean).T))) ** 2
-    for sep in (0, 1, 2):
-        for h1 in range(-2, 3):
-            for h2 in range(-2, 3):
-                for recenter in (False, True):
-                    want = brute_trace_cross(x, mean, h1, h2, sep, recenter)
-                    got = estimate_trace_cross(x, mean, h1, h2, sep, recenter=recenter)
-                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
+    for n0, p, max_sep, max_lag in [(14, 3, 2, 2), (37, 4, 4, 3)]:
+        x = rng.standard_normal((n0, p))
+        mean = x.mean(axis=0) + 0.1
+        scale = float(np.max(np.abs((x - mean) @ (x - mean).T))) ** 2
+        lags = range(-max_lag, max_lag + 1)
+        for sep in range(max_sep + 1):
+            for h1 in lags:
+                for h2 in lags:
+                    for recenter in (False, True):
+                        want = brute_trace_cross(x, mean, h1, h2, sep, recenter)
+                        got = estimate_trace_cross(x, mean, h1, h2, sep, recenter=recenter)
+                        assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * scale), (
+                            n0, sep, h1, h2, recenter)
 
 
 def test_trace_row_count_boundary():
@@ -207,6 +213,22 @@ def test_stationarity_flags_change_inside_training():
     x[100:] *= 2.0
     res = stationarity_test(x, x.mean(axis=0), 0, alpha=0.05)
     assert res.rejected
+
+
+def test_fit_training_validates_the_block_once(monkeypatch):
+    calls = []
+    real = training._as_matrix
+
+    def counting(obs, *args, **kwargs):
+        calls.append(1)
+        return real(obs, *args, **kwargs)
+
+    monkeypatch.setattr(training, "_as_matrix", counting)
+    x = gen_stream(GeneratorSpec(p=20, dep_order=1), 150, 3)
+    for override in (1, None):  # given and estimated dependence order
+        calls.clear()
+        fit_training(x, FitConfig(window=30, dep_order_override=override))
+        assert len(calls) == 1, override
 
 
 def test_fit_training_constant_data_degenerate():
