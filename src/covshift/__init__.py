@@ -73,7 +73,6 @@ from .weights import (
     WeightPlan,
     build_weight_plan,
     lag_weight_sums,
-    profile_weight,
 )
 
 __version__ = "0.1.0"
@@ -84,7 +83,6 @@ __all__ = [
     "WeightPlan",
     "build_weight_plan",
     "lag_weight_sums",
-    "profile_weight",
     # statistics
     "WindowState",
     "profile_statistic",

@@ -3,10 +3,10 @@
 Under a stable stream the running maximum of the standardized statistic has a
 Gumbel-type limit, which yields a closed-form run-length distribution and a
 one-dimensional integral for the average run length (ARL).  Calibrating the
-alarm threshold to a false-alarm budget is then a scalar root solve instead
-of a Monte Carlo campaign.  The same machinery gives a worst-case bound on
-the expected detection delay and the smallest covariance change the rule can
-see at all.
+alarm threshold to a false-alarm budget is then one Brent root solve on the
+log ARL instead of a Monte Carlo campaign.  The same machinery gives a
+worst-case bound on the expected detection delay and the smallest covariance
+change the rule can see at all.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.optimize import brentq
 
 from .errors import CalibrationInfeasibleError, ConfigurationError
 
@@ -159,9 +160,12 @@ class CalibrationResult:
 def solve_threshold(target_arl: float, window: int) -> CalibrationResult:
     """Find the threshold whose theoretical ARL equals the target.
 
-    The ARL is strictly increasing in the threshold, so a bisection bracket
-    down to 1e-3 followed by a secant polish reaches a relative residual of
-    1e-6 in a handful of iterations.
+    The ARL is strictly increasing in the threshold, so one Brent solve
+    (scipy.optimize.brentq) of log ARL(a) = log(target) finds it, on a
+    bracket whose upper end grows by 1.5x up to 50 until it holds the
+    target.  The log keeps a sign for an ARL past float range (inf).  An
+    achieved ARL more than 1e-6 relative off the target is an error.
+    solver_iterations counts ARL evaluations.
     """
     if not math.isfinite(target_arl):
         raise ConfigurationError(f"target ARL must be finite, got {target_arl}")
@@ -171,63 +175,40 @@ def solve_threshold(target_arl: float, window: int) -> CalibrationResult:
         raise CalibrationInfeasibleError(
             f"target ARL {target_arl} must exceed the window size {window}"
         )
-    lo, hi = _BRACKET
-    iterations = 0
+    log_target = math.log(target_arl)
+    arls: dict[float, float] = {}  # every ARL evaluated, by threshold
 
     def residual(a: float) -> float:
-        nonlocal iterations
-        iterations += 1
-        return _arl_quiet(a, window) - target_arl
+        if a not in arls:
+            arls[a] = _arl_quiet(a, window)
+        return math.log(arls[a]) - log_target
 
-    r_lo = residual(lo)
-    if r_lo > 0.0:
+    lo, hi = _BRACKET
+    if residual(lo) > 0.0:
         raise CalibrationInfeasibleError(
             f"target ARL {target_arl} is below the ARL at the lowest sensible "
             f"threshold {lo} (window {window})"
         )
-    r_hi = residual(hi)
-    while r_hi < 0.0 and hi < 50.0:
+    while residual(hi) < 0.0 and hi < 50.0:
         hi *= 1.5
-        r_hi = residual(hi)
-    if r_hi < 0.0:
+    if residual(hi) < 0.0:
         raise CalibrationInfeasibleError(
             f"target ARL {target_arl} not attainable for thresholds up to {hi}"
         )
-
-    b_lo, b_hi = lo, hi
-    while b_hi - b_lo > 1e-3:
-        mid = 0.5 * (b_lo + b_hi)
-        if residual(mid) < 0.0:
-            b_lo = mid
-        else:
-            b_hi = mid
-
-    a0, a1 = b_lo, b_hi
-    r0, r1 = residual(a0), residual(a1)
-    a_best, r_best = (a0, r0) if abs(r0) < abs(r1) else (a1, r1)
-    for _ in range(30):
-        if abs(r_best) <= 1e-6 * target_arl:
-            break
-        if r1 == r0 or not math.isfinite(r1 - r0):  # an ARL past float range
-            break
-        a2 = a1 - r1 * (a1 - a0) / (r1 - r0)
-        a2 = min(max(a2, lo), hi)
-        r2 = residual(a2)
-        a0, r0, a1, r1 = a1, r1, a2, r2
-        if abs(r2) < abs(r_best):
-            a_best, r_best = a2, r2
-    if abs(r_best) > 1e-6 * target_arl:
+    threshold = brentq(residual, lo, hi, xtol=1e-12)
+    achieved = arls[threshold]
+    if abs(achieved - target_arl) > 1e-6 * target_arl:
         raise CalibrationInfeasibleError(
             f"threshold solver did not reach the 1e-6 relative residual for "
             f"target ARL {target_arl}, window {window}"
         )
-    _check_regime(a_best, window)
+    _check_regime(threshold, window)
     return CalibrationResult(
         target_arl=float(target_arl),
         window=window,
-        threshold=float(a_best),
-        achieved_arl=float(r_best + target_arl),
-        solver_iterations=iterations,
+        threshold=float(threshold),
+        achieved_arl=float(achieved),
+        solver_iterations=len(arls),
         bracket=(lo, hi),
     )
 

@@ -243,8 +243,7 @@ def localize(history, summary: TrainingSummary) -> Optional[int]:
         raise DataError(
             f"history has {x.shape[1]} columns, expected {summary.p}"
         )
-    m = summary.dep_order
-    if x.shape[0] < 2 * m + 4:  # no split in [M+2, n-M-2]
+    ts, profile = _split_profile(x - _check_mean(summary.mean, summary.p), summary.dep_order)
+    if ts.size == 0:  # no split in [M+2, n-M-2]
         return None
-    ts, profile = _split_profile(x - _check_mean(summary.mean, summary.p), m)
     return int(ts[int(np.argmax(profile))])

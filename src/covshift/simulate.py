@@ -20,7 +20,7 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.linalg import cholesky, toeplitz
@@ -353,16 +353,6 @@ class McResult:
         }
 
 
-def _run_replicates(fn: Callable[[int], float], replicates: int, workers: int) -> list:
-    if workers <= 1:
-        return [fn(r) for r in range(replicates)]
-    # replicate 0 fills the loading-factor caches before the pool starts, so
-    # the workers do not all miss at once and factor the same matrix
-    first = fn(0)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return [first, *pool.map(fn, range(1, replicates))]
-
-
 def _one_run(
     spec: GeneratorSpec,
     recipe: TrainingRecipe,
@@ -412,6 +402,36 @@ def _summarize(runs: list) -> McResult:
     )
 
 
+def _monte_carlo(
+    spec: GeneratorSpec,
+    recipe: TrainingRecipe,
+    threshold: float,
+    window: int,
+    replicates: int,
+    cap: int,
+    seed,
+    workers: int,
+) -> McResult:
+    """Run `replicates` independent train-then-monitor runs, each stopped at
+    alarm or after `cap` post-training steps, on `workers` threads, and
+    summarize them."""
+    if replicates < 1:
+        raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
+    if cap < 1:
+        raise ConfigurationError(f"max_steps must be >= 1, got {cap}")
+
+    def run(rep: int) -> tuple[int, bool]:
+        return _one_run(spec, recipe, threshold, window, cap, seed, rep)
+
+    if workers <= 1:
+        return _summarize([run(r) for r in range(replicates)])
+    # replicate 0 fills the loading-factor caches before the pool starts, so
+    # the workers do not all miss at once and factor the same matrix
+    first = run(0)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return _summarize([first, *pool.map(run, range(1, replicates))])
+
+
 def monte_carlo_arl(
     spec: GeneratorSpec,
     recipe: TrainingRecipe,
@@ -425,16 +445,8 @@ def monte_carlo_arl(
     """Average run length on stable streams (the spec must have no change)."""
     if spec.post_change is not None:
         raise ConfigurationError("ARL runs need a spec without a post_change")
-    if replicates < 1:
-        raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
     cap = 50 * window if max_steps is None else max_steps
-    if cap < 1:
-        raise ConfigurationError(f"max_steps must be >= 1, got {cap}")
-
-    def run(rep: int) -> tuple[int, bool]:
-        return _one_run(spec, recipe, threshold, window, cap, seed, rep)
-
-    return _summarize(_run_replicates(run, replicates, workers))
+    return _monte_carlo(spec, recipe, threshold, window, replicates, cap, seed, workers)
 
 
 def monte_carlo_edd(
@@ -455,16 +467,8 @@ def monte_carlo_edd(
             "EDD requires change_at == n0 so the delay equals the stopping time "
             f"(change_at={spec.post_change.change_at}, n0={recipe.n0})"
         )
-    if replicates < 1:
-        raise ConfigurationError(f"replicates must be >= 1, got {replicates}")
     cap = 10 * window if max_steps is None else max_steps
-    if cap < 1:
-        raise ConfigurationError(f"max_steps must be >= 1, got {cap}")
-
-    def run(rep: int) -> tuple[int, bool]:
-        return _one_run(spec, recipe, threshold, window, cap, seed, rep)
-
-    return _summarize(_run_replicates(run, replicates, workers))
+    return _monte_carlo(spec, recipe, threshold, window, replicates, cap, seed, workers)
 
 
 def dep_order_study(

@@ -131,8 +131,7 @@ class WindowState:
     r's sum over every older row in the window, a sum written once and never
     updated by subtraction.  `_newer` holds each row's sum over the newer
     rows, added to as they arrive and reset when its slot is reused, so no
-    running sum outlives `capacity` pushes.  gram_sq rebuilds the time
-    ordered squared Gram matrix on request.  Single-writer: one stream
+    running sum outlives `capacity` pushes.  Single-writer: one stream
     owner pushes.
     """
 
@@ -228,21 +227,6 @@ class WindowState:
     @property
     def full(self) -> bool:
         return self.count >= self.capacity
-
-    @property
-    def gram_sq(self) -> np.ndarray | None:
-        """Read-only squared Gram matrix in time order (row and column 0 are
-        the oldest observation), built on each access; None before a push."""
-        if self._sq is None:
-            return None
-        h = self.capacity
-        filled = min(self.count, h)
-        order = (self.count - filled + np.arange(filled)) % h
-        ring = self._sq[np.ix_(order, order)]
-        out = np.zeros((h, h))
-        out[:filled, :filled] = np.tril(ring) + np.tril(ring, -1).T
-        out.setflags(write=False)
-        return out
 
 
 def statistic_windowed(state: WindowState, plan: WeightPlan) -> float | None:

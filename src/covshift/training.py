@@ -369,7 +369,6 @@ def stationarity_test(
     dep_order: int,
     alpha: float = 0.05,
     table: TraceTable | None = None,
-    _gram: np.ndarray | None = None,
 ) -> StationarityResult:
     """One-sided test that the training block is covariance-stationary.
 
@@ -382,7 +381,7 @@ def stationarity_test(
         raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
     x = _as_matrix(train)
     _check_rows(x.shape[0], dep_order)
-    gram = _centered_gram(x, mean) if _gram is None else _gram
+    gram = _centered_gram(x, mean)
     if table is None:
         table = _trace_table(gram, dep_order)
     else:

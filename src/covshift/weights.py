@@ -60,24 +60,6 @@ def _split_coefficients(t, length: int, dep_order: int):
     return alpha, beta, gamma
 
 
-def profile_weight(t: int, i: int, j: int, length: int, dep_order: int) -> float:
-    """Split weight A_t(i, j) for a sequence of the given length.
-
-    All indices are 1-based.  Valid splits are dep_order+2 <= t <=
-    length-dep_order-2; the weight is symmetric in (i, j).
-    """
-    n = length
-    _check_split(t, n, dep_order)
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ConfigurationError(f"indices ({i}, {j}) outside 1..{n}")
-    alpha, beta, gamma = _split_coefficients(t, n, dep_order)
-    if max(i, j) <= t:
-        return alpha
-    if min(i, j) > t:
-        return beta
-    return -gamma
-
-
 @dataclass(frozen=True, eq=False)
 class WeightPlan:
     """Immutable weights for a fixed (length, dep_order), stored as (u, v).

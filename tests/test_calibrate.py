@@ -94,7 +94,7 @@ def test_solver_inverts_reference_pairs():
             warnings.simplefilter("ignore")
             res = solve_threshold(arl, h)
         assert res.threshold == pytest.approx(a, abs=0.01)
-        assert res.achieved_arl == pytest.approx(arl, rel=1e-6)
+        assert res.achieved_arl == pytest.approx(arl, rel=1e-9)
         assert res.solver_iterations > 0
         assert res.bracket[0] < res.threshold < res.bracket[1]
 

@@ -311,11 +311,13 @@ def test_localize_tie_breaks_to_earliest_candidate():
 
 
 def test_localize_too_short_returns_none():
-    x = np.random.default_rng(0).standard_normal((5, 3))
+    # splits run over [M+2, n-M-2]: none at n = 2M+3, only t = M+2 at 2M+4
+    rng = np.random.default_rng(0)
+    for m in (0, 1, 2):
+        class Stub:
+            mean = np.zeros(3)
+            p = 3
+            dep_order = m
 
-    class Stub:
-        mean = np.zeros(3)
-        p = 3
-        dep_order = 1
-
-    assert localize(x, Stub()) is None
+        assert localize(rng.standard_normal((2 * m + 3, 3)), Stub()) is None, m
+        assert localize(rng.standard_normal((2 * m + 4, 3)), Stub()) == m + 2, m

@@ -200,7 +200,7 @@ def test_window_state_basic_push():
     state.push(np.array([1.0, 2.0]), np.zeros(2))
     assert state.count == 1
     assert not state.full
-    assert state.gram_sq[0, 0] == pytest.approx(5.0**2)
+    assert state._sq[0, 0] == pytest.approx(5.0**2)
 
 
 def test_rejected_first_push_leaves_window_state_usable():
@@ -209,7 +209,7 @@ def test_rejected_first_push_leaves_window_state_usable():
         state.push(np.ones(3), np.zeros(2))  # mean of the wrong dimension
     state.push(np.ones(2), np.zeros(2))
     assert state.count == 1
-    assert state.gram_sq[0, 0] == pytest.approx(2.0**2)
+    assert state._sq[0, 0] == pytest.approx(2.0**2)
 
 
 def test_window_state_holds_last_capacity_rows():
@@ -219,7 +219,9 @@ def test_window_state_holds_last_capacity_rows():
     for row in rows:
         state.push(row, np.zeros(2))
     assert state.full
-    assert np.array_equal(state.gram_sq, (rows[1:] @ rows[1:].T) ** 2)
+    plan = build_weight_plan(h, 0)  # h=6 admits only M=0
+    want = statistic_batch(rows[1:], np.zeros(2), plan)
+    assert statistic_windowed(state, plan) == pytest.approx(want, rel=1e-12)
 
 
 def test_windowed_statistic_not_ready_until_full():
@@ -359,11 +361,14 @@ def test_primed_window_matches_row_by_row_pushes():
                 ref.push(row, summary.mean)
             assert det._state.count == ref.count == k
             if k == 0:
-                assert det._state.gram_sq is None
+                assert det._state._sq is None and ref._sq is None
             else:
-                want = ref.gram_sq
-                err = np.abs(det._state.gram_sq - want).max()
-                assert err <= 1e-13 * np.abs(want).max(), (h, k)
+                # both triangles of the ring, each row's sum over the newer
+                # rows and the centered rows, slot for slot
+                for name in ("_sq", "_newer", "_buf"):
+                    got, want = getattr(det._state, name), getattr(ref, name)
+                    err = np.abs(got - want).max()
+                    assert err <= 1e-13 * np.abs(want).max(), (h, k, name)
             for t in range(k, k + 3 * h):
                 res = det.step(x[t])
                 if t < h - 1:

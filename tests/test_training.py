@@ -191,7 +191,7 @@ def test_stationarity_critical_value_and_size_smoke():
 
 
 def test_stationarity_statistic_matches_dense_weights():
-    # from the rows and from a held Gram, against sum W G^2 / n0^2 / sd
+    # against sum W G^2 / n0^2 / sd from the dense weights
     rng = np.random.default_rng(23)
     for n0, p, m in [(60, 8, 0), (300, 5, 2)]:
         x = rng.standard_normal((n0, p))
@@ -202,9 +202,8 @@ def test_stationarity_statistic_matches_dense_weights():
         sd = estimate_null_sd(x, mean, m, n0)
         expected = float((w * gram**2).sum()) / n0**2 / sd
         scale = float((np.abs(w) * gram**2).sum()) / n0**2 / sd
-        for held in (None, gram):
-            got = stationarity_test(x, mean, m, _gram=held).statistic
-            assert abs(got - expected) <= 1e-12 * scale, (n0, m, held is None)
+        got = stationarity_test(x, mean, m).statistic
+        assert abs(got - expected) <= 1e-12 * scale, (n0, m)
 
 
 def test_stationarity_flags_change_inside_training():

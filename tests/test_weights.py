@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covshift import build_weight_plan, lag_weight_sums, profile_weight
+from covshift import build_weight_plan, lag_weight_sums
 from covshift.errors import ConfigurationError
 
 
@@ -63,32 +63,6 @@ def brute_weight_matrix(n, m):
                 if abs(i - j) >= m + 1:
                     w[i - 1, j - 1] += brute_profile_weight(t, i, j, n, m)
     return w
-
-
-def test_profile_weight_first_branch_example():
-    assert profile_weight(4, 1, 2, 8, 0) == pytest.approx(4.0 / 3.0, rel=1e-15)
-
-
-def test_profile_weight_split_branch_example():
-    assert profile_weight(4, 2, 6, 8, 0) == pytest.approx(-1.0, rel=1e-15)
-
-
-def test_profile_weight_symmetric_in_i_j():
-    for t in range(2, 7):
-        for i in range(1, 9):
-            for j in range(1, 9):
-                assert profile_weight(t, i, j, 8, 0) == profile_weight(t, j, i, 8, 0)
-
-
-def test_profile_weight_rejects_out_of_range():
-    with pytest.raises(ConfigurationError):
-        profile_weight(1, 1, 2, 8, 0)  # t below M+2
-    with pytest.raises(ConfigurationError):
-        profile_weight(7, 1, 2, 8, 0)  # t above n-M-2
-    with pytest.raises(ConfigurationError):
-        profile_weight(4, 0, 2, 8, 0)
-    with pytest.raises(ConfigurationError):
-        profile_weight(4, 1, 9, 8, 0)
 
 
 def test_plan_matches_brute_force_oracle():
