@@ -260,6 +260,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if not isinstance(scenario, dict):
         raise DataError(f"{args.scenario}: expected a JSON object")
     kind = _field(scenario, "kind", str)
+    if kind not in ("arl", "edd", "m_selection"):
+        raise DataError(f"unknown scenario kind {kind!r}")
     seed = args.seed if args.seed is not None else _field(scenario, "seed", int, 0)
     replicates = (
         args.replicates if args.replicates is not None
@@ -306,105 +308,44 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     pre_base = _field(scenario, "pre_base", str, "identity")
     recipe = _recipe_from(scenario)
     max_steps = _field(scenario, "max_steps", (int, type(None)), None)
-    workers = args.workers
-
-    if kind == "arl":
-        spec = GeneratorSpec(
-            p=p, dep_order=dep_order, innovation=innovation, pre_base=pre_base
-        )
-        theo = theoretical_arl(threshold, window)
-        rows = [
-            ("window", window),
-            ("threshold", f"{threshold:.6g}"),
-            ("theoretical ARL", f"{theo:.6g}"),
-        ]
-        payload = {
-            "kind": "arl",
-            "window": window,
-            "threshold": threshold,
-            "theoretical_arl": theo,
-            "mc": None,
-        }
-        if replicates > 0:
-            mc = monte_carlo_arl(
-                spec,
-                recipe,
-                threshold,
-                window,
-                replicates,
-                max_steps=max_steps,
-                seed=seed,
-                workers=workers,
-            )
-            rows += [
-                ("MC ARL", f"{mc.mean:.6g} +/- {mc.std_error:.3g}"),
-                ("replicates", mc.replicates),
-                ("censored", mc.censored),
-            ]
-            payload["mc"] = mc.to_dict()
-        _print_table(rows)
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-
+    post_change = None
     if kind == "edd":
         model = _field(scenario, "model", str)
         rho = _field(scenario, "rho", float)
         change_at = _field(scenario, "change_at", int, recipe.n0)
-        spec = GeneratorSpec(
-            p=p,
-            dep_order=dep_order,
-            innovation=innovation,
-            pre_base=pre_base,
-            post_change=PostChange(model=model, rho=rho, change_at=change_at),
-        )
-        rows = [
-            ("window", window),
-            ("threshold", f"{threshold:.6g}"),
-            ("model", model),
-            ("rho", rho),
-        ]
-        payload = {
-            "kind": "edd",
-            "window": window,
-            "threshold": threshold,
-            "model": model,
-            "rho": rho,
-            "bound": None,
-            "mc": None,
-        }
+        post_change = PostChange(model=model, rho=rho, change_at=change_at)
+    spec = GeneratorSpec(p=p, dep_order=dep_order, innovation=innovation,
+                         pre_base=pre_base, post_change=post_change)
+
+    rows = [("window", window), ("threshold", f"{threshold:.6g}")]
+    payload = {"kind": kind, "window": window, "threshold": threshold, "mc": None}
+    if kind == "arl":
+        theo = theoretical_arl(threshold, window)
+        rows.append(("theoretical ARL", f"{theo:.6g}"))
+        payload["theoretical_arl"] = theo
+        run, label = monte_carlo_arl, "MC ARL"
+    else:
+        rows += [("model", model), ("rho", rho)]
+        payload.update(model=model, rho=rho, bound=None)
         if pre_base == "identity" and model in ("a", "c"):
             norm = change_norm_frobenius(model, p, rho, dep_order)
-            bound = edd_upper_bound(
-                threshold,
-                window,
-                dep_order,
-                population_null_sd(p, dep_order, window),
-                norm,
-            ).bound
+            sd = population_null_sd(p, dep_order, window)
+            bound = edd_upper_bound(threshold, window, dep_order, sd, norm).bound
             rows.append(("delay bound", f"{bound:.6g}"))
             payload["bound"] = bound
-        if replicates > 0:
-            mc = monte_carlo_edd(
-                spec,
-                recipe,
-                threshold,
-                window,
-                replicates,
-                seed=seed,
-                max_steps=max_steps,
-                workers=workers,
-            )
-            rows += [
-                ("MC delay", f"{mc.mean:.6g} +/- {mc.std_error:.3g}"),
-                ("replicates", mc.replicates),
-                ("censored", mc.censored),
-            ]
-            payload["mc"] = mc.to_dict()
-        _print_table(rows)
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-
-    raise DataError(f"unknown scenario kind {kind!r}")
+        run, label = monte_carlo_edd, "MC delay"
+    if replicates > 0:
+        mc = run(spec, recipe, threshold, window, replicates,
+                 max_steps=max_steps, seed=seed, workers=args.workers)
+        rows += [
+            (label, f"{mc.mean:.6g} +/- {mc.std_error:.3g}"),
+            ("replicates", mc.replicates),
+            ("censored", mc.censored),
+        ]
+        payload["mc"] = mc.to_dict()
+    _print_table(rows)
+    print(json.dumps(payload, sort_keys=True))
+    return 0
 
 
 def main(argv=None) -> int:

@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DataError, DetectorFinishedError
-from .stats import WindowState, statistic_windowed, _as_matrix, _check_mean, _split_profile
+from .stats import (WindowState, statistic_windowed, _as_array, _as_matrix, _check_mean,
+                    _split_profile)
 from .training import TrainingSummary
 from .weights import build_weight_plan
 
@@ -117,13 +118,7 @@ class Detector:
         else:
             rows = prime
         if rows is not None:
-            rows = _as_matrix(np.asarray(rows, dtype=np.float64), "prime")
-            if rows.shape[1] != self.summary.p:
-                raise ConfigurationError(
-                    f"priming rows have {rows.shape[1]} columns, expected "
-                    f"{self.summary.p}"
-                )
-            self._state._load(rows - self._mean)
+            self._state._load(_as_matrix(rows, "prime", summary.p) - self._mean)
 
     @property
     def steps(self) -> int:
@@ -164,14 +159,7 @@ class Detector:
     def step(self, x: Sequence[float]) -> StepResult:
         """Consume one observation; returns the monitoring state after it."""
         self._check_running()
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.shape[0] != self.summary.p:
-            raise DataError(
-                f"observation must be a length-{self.summary.p} vector, got "
-                f"shape {x.shape}"
-            )
-        if not np.isfinite(x).all():
-            raise DataError("observation contains non-finite values")
+        x = _as_array(x, "observation", 1, self.summary.p)
         std_stat = self._advance(x - self._mean)
         if std_stat is None:
             return StepResult(self._steps, "filling", None, None)
@@ -191,13 +179,8 @@ class Detector:
         one step would give for the same row.
         """
         self._check_running()
-        x = _as_matrix(block)
-        if x.shape[1] != self.summary.p:
-            raise DataError(
-                f"observations have {x.shape[1]} columns, expected {self.summary.p}"
-            )
         std_stats: list = []
-        for k, xc in enumerate(x - self._mean):
+        for k, xc in enumerate(_as_matrix(block, width=self.summary.p) - self._mean):
             std_stats.append(self._advance(xc))
             if self._finished:
                 return k, std_stats
@@ -238,11 +221,7 @@ def localize(history, summary: TrainingSummary) -> Optional[int]:
     O(n^2 * p) work and O(n) memory beyond the history (see
     stats._split_profile).
     """
-    x = _as_matrix(np.asarray(history, dtype=np.float64), "history")
-    if x.shape[1] != summary.p:
-        raise DataError(
-            f"history has {x.shape[1]} columns, expected {summary.p}"
-        )
+    x = _as_matrix(history, "history", summary.p)
     ts, profile = _split_profile(x - _check_mean(summary.mean, summary.p), summary.dep_order)
     if ts.size == 0:  # no split in [M+2, n-M-2]
         return None

@@ -272,22 +272,17 @@ class StreamGenerator:
             s = s + coeffs[l] * eps[m - l : m - l + k]
         if m > 0:
             self._tail = eps[-m:].copy()
-        indices = self._count + 1 + np.arange(k)
+        # rows 1..change_at of the stream come before the change: the
+        # first pre rows of this take
+        pre = k
+        if self.spec.post_change is not None:
+            pre = min(max(self.spec.post_change.change_at - self._count, 0), k)
         self._count += k
-        tau = (
-            self.spec.post_change.change_at
-            if self.spec.post_change is not None
-            else None
-        )
-        if tau is None or indices[-1] <= tau:
-            return s if self._base is None else s @ self._base.T
-        out = np.empty_like(s)
-        pre = indices <= tau
-        if pre.any():
-            out[pre] = s[pre] if self._base is None else s[pre] @ self._base.T
-        post = ~pre
-        out[post] = s[post] @ self.q.T
-        return out
+        if self._base is not None:
+            s[:pre] = s[:pre] @ self._base.T
+        if pre < k:
+            s[pre:] = s[pre:] @ self.q.T
+        return s
 
 
 def gen_stream(spec: GeneratorSpec, n: int, seed) -> np.ndarray:

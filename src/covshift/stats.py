@@ -13,6 +13,12 @@ the squared Gram of the last min(k, H) rows, and its row cumulative sums
 fill the ring as k single pushes would.  The batch statistic and the split
 profile share one reduction of the squared Gram to off-band row and column
 sums, a block of rows at a time: O(n^2 * p) work and O(n) memory.
+
+One input rule holds for every array the package takes from a caller
+(observations, a mean, priming rows, a history) and is written once, in
+_as_array: the expected number of dimensions, a real dtype (bool, complex,
+string and object arrays are rejected, never cast), the expected length of
+the last axis, and finite values.  The DataError names the input.
 """
 
 from __future__ import annotations
@@ -33,22 +39,32 @@ __all__ = [
 _PROFILE_BLOCK = 256
 
 
-def _as_matrix(obs, name: str = "observations") -> np.ndarray:
-    x = np.asarray(obs, dtype=float)
-    if x.ndim != 2:
-        raise DataError(f"{name} must be a 2-D array (time x dim), got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DataError(f"{name} contain non-finite values")
+def _as_array(obs, name: str, ndim: int, width: int | None = None) -> np.ndarray:
+    """obs as a float64 array after the one input rule: ndim dimensions, a
+    real dtype, a last axis of length width (any when None), finite values.
+    DataError names the input."""
+    try:
+        x = np.asarray(obs)
+    except ValueError:  # ragged nesting
+        raise DataError(f"{name} must be a {ndim}-D array, got ragged nesting") from None
+    if x.ndim != ndim:
+        raise DataError(f"{name} must be a {ndim}-D array, got shape {x.shape}")
+    if x.dtype.kind not in "iuf":
+        raise DataError(f"{name} must hold real numbers, got dtype {x.dtype}")
+    if width is not None and x.shape[-1] != width:
+        raise DataError(f"{name} must have last dimension {width}, got shape {x.shape}")
+    x = x.astype(np.float64, copy=False)
+    if not np.isfinite(x).all():
+        raise DataError(f"{name} must be finite, got non-finite values")
     return x
 
 
+def _as_matrix(obs, name: str = "observations", width: int | None = None) -> np.ndarray:
+    return _as_array(obs, name, 2, width)
+
+
 def _check_mean(mean, p: int) -> np.ndarray:
-    mu = np.asarray(mean, dtype=float)
-    if mu.shape != (p,):
-        raise DataError(f"mean has shape {mu.shape}, expected ({p},)")
-    if not np.isfinite(mu).all():
-        raise DataError("mean contains non-finite values")
-    return mu
+    return _as_array(mean, "mean", 1, p)
 
 
 def _offband_sums(block, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,15 +165,8 @@ class WindowState:
 
     def push(self, x, mean) -> "WindowState":
         """Center x, store it (evicting the oldest when full), cache products."""
-        xv = np.asarray(x, dtype=float)
-        if xv.ndim != 1:
-            raise DataError(f"observation must be 1-D, got shape {xv.shape}")
-        if not np.isfinite(xv).all():
-            raise DataError("observation contains non-finite values")
-        if self._buf is not None and xv.shape[0] != self._buf.shape[1]:
-            raise DataError(
-                f"observation has dimension {xv.shape[0]}, expected {self._buf.shape[1]}"
-            )
+        width = None if self._buf is None else self._buf.shape[1]
+        xv = _as_array(x, "observation", 1, width)
         return self._store(xv - _check_mean(mean, xv.shape[0]))
 
     def _store(self, xc: np.ndarray) -> "WindowState":

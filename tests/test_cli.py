@@ -557,6 +557,43 @@ def test_cli_simulate_unknown_kind_exits_one(tmp_path, capsys):
     scenario.write_text(json.dumps({"kind": "power"}))
     rc = main(["simulate", "--scenario", str(scenario)])
     assert rc == 1
+    assert "unknown scenario kind 'power'" in capsys.readouterr().err
+
+
+def test_cli_simulate_output_format(tmp_path, capsys):
+    # the table's labels in order and the JSON line's keys, per kind and
+    # with or without Monte Carlo and a delay bound
+    scenario = tmp_path / "scenario.json"
+    arl = {"kind": "arl", "p": 5, "window": 20, "threshold": 3.0, "recipe": {"n0": 40}}
+    edd = {**arl, "kind": "edd", "rho": 0.5}
+    mc_rows = ["replicates", "censored"]
+    cases = [
+        ({**arl, "replicates": 0},
+         ["window", "threshold", "theoretical ARL"], {"theoretical_arl"}),
+        ({**arl, "replicates": 2, "max_steps": 50},
+         ["window", "threshold", "theoretical ARL", "MC ARL", *mc_rows], {"theoretical_arl"}),
+        ({**edd, "model": "a", "replicates": 2},
+         ["window", "threshold", "model", "rho", "delay bound", "MC delay", *mc_rows],
+         {"model", "rho", "bound"}),
+        ({**edd, "model": "b", "replicates": 2},
+         ["window", "threshold", "model", "rho", "MC delay", *mc_rows],
+         {"model", "rho", "bound"}),
+    ]
+    for fields, labels, keys in cases:
+        scenario.write_text(json.dumps(fields))
+        assert main(["simulate", "--scenario", str(scenario)]) == 0
+        *table, last = capsys.readouterr().out.splitlines()
+        assert [line.split("  ")[0] for line in table] == labels
+        payload = json.loads(last)
+        assert set(payload) == {"kind", "window", "threshold", "mc"} | keys
+        assert payload["kind"] == fields["kind"]
+        if fields["replicates"]:
+            assert set(payload["mc"]) == {"replicates", "mean", "std_error",
+                                          "censored", "unreliable"}
+        else:
+            assert payload["mc"] is None
+        if "bound" in keys:
+            assert (payload["bound"] is None) == (fields["model"] == "b")
 
 
 @pytest.mark.skipif(

@@ -11,6 +11,8 @@ from covshift import (
     GeneratorSpec,
     PostChange,
     StreamGenerator,
+    TrainingSummary,
+    WindowState,
     build_weight_plan,
     fit_training,
     gen_stream,
@@ -157,6 +159,34 @@ def test_dimension_and_finiteness_validated():
         det.step(np.zeros(31))
     with pytest.raises(DataError):
         det.step(np.full(30, np.nan))
+    with pytest.raises(DataError, match="^observation must be a 1-D array, got ragged"):
+        det.step([0.0] * 29 + [[1.0, 2.0]])
+
+
+def test_non_real_input_is_rejected_and_named():
+    # bool, complex, string and object arrays are refused, never cast to
+    # float: a malformed row must stop the monitor, not be scored
+    train, summary = make_summary()
+    config = DetectorConfig(window=40, threshold=3.0)
+    det = Detector(summary, config)
+    strings = [str(v) for v in range(30)]
+    payload = {**summary.to_dict(), "mean": [str(v) for v in summary.mean]}
+    cases = [
+        ("observation", lambda: det.step(np.ones(30, dtype=bool))),
+        ("observation", lambda: det.step(strings)),
+        ("observations", lambda: det.scan(train[:3] + 1j)),
+        ("observation", lambda: WindowState(4).push(np.ones(3) + 1j, np.zeros(3))),
+        ("prime", lambda: Detector(summary, config, prime=[strings] * 5)),
+        ("history", lambda: localize(train.astype(str), summary)),
+        ("observations", lambda: fit_training(train > 0, FitConfig(window=40))),
+        ("observations",
+         lambda: statistic_batch(train[:40] + 1j, summary.mean, build_weight_plan(40, 0))),
+        ("mean", lambda: TrainingSummary.from_dict(payload)),
+    ]
+    for name, call in cases:
+        with pytest.raises(DataError, match=f"^{name} must hold real numbers"):
+            call()
+    assert det.steps == 0 and det.trajectory == []
 
 
 def test_trajectory_bounded_by_threshold_until_alarm():

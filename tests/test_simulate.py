@@ -82,12 +82,27 @@ def test_seed_determinism_and_chunk_invariance():
 
 
 def test_change_takes_effect_at_the_right_row():
-    spec = GeneratorSpec(p=5, dep_order=0, post_change=PostChange("c", 0.9, change_at=10))
-    base_spec = GeneratorSpec(p=5, dep_order=0)
+    for base in ("identity", "toeplitz06"):
+        spec = GeneratorSpec(p=5, dep_order=0, pre_base=base,
+                             post_change=PostChange("c", 0.9, change_at=10))
+        base_spec = GeneratorSpec(p=5, dep_order=0, pre_base=base)
+        changed = gen_stream(spec, 20, 3)
+        stable = gen_stream(base_spec, 20, 3)
+        assert np.array_equal(changed[:10], stable[:10]), base
+        assert not np.array_equal(changed[10:], stable[10:]), base
+        # takes of 7, 6 and 20 rows: the second straddles the change, the
+        # third starts after it
+        gen = StreamGenerator(spec, 3)
+        chunks = np.vstack([gen.take(7), gen.take(6), gen.take(20)])
+        assert np.array_equal(chunks, gen_stream(spec, 33, 3)), base
+    # a change at 0 loads every row with Q; model "c" draws nothing, so the
+    # innovations are those of the stable identity stream
+    spec = GeneratorSpec(p=5, dep_order=0, post_change=PostChange("c", 0.9, change_at=0))
     changed = gen_stream(spec, 20, 3)
-    stable = gen_stream(base_spec, 20, 3)
-    assert np.array_equal(changed[:10], stable[:10])
-    assert not np.array_equal(changed[10:], stable[10:])
+    stable = gen_stream(GeneratorSpec(p=5, dep_order=0), 20, 3)
+    assert np.allclose(changed, stable @ build_q("c", 5, 0.9, None).T, rtol=0, atol=1e-14)
+    gen = StreamGenerator(spec, 3)
+    assert np.array_equal(np.vstack([gen.take(7), gen.take(6), gen.take(7)]), changed)
 
 
 def test_build_q_model_a_reproduces_toeplitz_covariance():
