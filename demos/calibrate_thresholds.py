@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import argparse
 
-from scipy.optimize import brentq
-
 from covshift import (
     change_norm_frobenius,
     min_detectable_change,
@@ -42,7 +40,11 @@ def weakest_visible_rho(p, window, threshold):
     def gap(rho):
         return change_norm_frobenius("a", p, rho, 0) - floor
 
-    rho_min = brentq(gap, 1e-4, 0.9, xtol=1e-6)
+    lo, hi = 1e-4, 0.9  # gap is increasing in rho: bisect its sign change
+    while hi - lo > 1e-6:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if gap(mid) < 0.0 else (lo, mid)
+    rho_min = 0.5 * (lo + hi)
     print(f"\nminimum detectable change at p={p}, H={window}, a={threshold:.4f}:")
     print(f"  required |Sigma1 - Sigma0|_F >= {floor:.2f}")
     print(f"  weakest visible rho = {rho_min:.3f}")

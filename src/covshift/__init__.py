@@ -14,7 +14,6 @@ from .calibrate import (
     edd_upper_bound,
     g_value,
     min_detectable_change,
-    run_length_cdf,
     solve_threshold,
     theoretical_arl,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "edd_upper_bound",
     "g_value",
     "min_detectable_change",
-    "run_length_cdf",
     "solve_threshold",
     "theoretical_arl",
     # detection

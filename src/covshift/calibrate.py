@@ -2,22 +2,22 @@
 
 Under a stable stream the running maximum of the standardized statistic has a
 Gumbel-type limit, which yields a closed-form run-length distribution and a
-one-dimensional integral for the average run length (ARL).  Calibrating the
-alarm threshold to a false-alarm budget is then one Brent root solve on the
-log ARL instead of a Monte Carlo campaign.  The same machinery gives a
-worst-case bound on the expected detection delay and the smallest covariance
-change the rule can see at all.
+one-dimensional integral for the average run length (ARL).  The integral is
+one vectorized Gauss-Legendre sum, and calibrating the alarm threshold to a
+false-alarm budget is then a bracketed Newton solve on the log ARL instead of
+a Monte Carlo campaign; numpy and the standard library are all it needs.  The
+same machinery gives a worst-case bound on the expected detection delay and
+the smallest covariance change the rule can see at all.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.optimize import brentq
 
 from .errors import CalibrationInfeasibleError, ConfigurationError
 
@@ -25,7 +25,6 @@ __all__ = [
     "CalibrationResult",
     "EddBound",
     "g_value",
-    "run_length_cdf",
     "theoretical_arl",
     "solve_threshold",
     "edd_upper_bound",
@@ -34,6 +33,18 @@ __all__ = [
 
 _LOG_4_OVER_SQRT_PI = math.log(4.0 / math.sqrt(math.pi))
 _BRACKET = (0.5, 12.0)
+_XTOL = 1e-12
+_MAX_STEPS = 100
+
+# The ARL quadrature: Gauss-Legendre nodes mapped to (0, 1), weights scaled to
+# one panel, and the constant part of g in s = sqrt(2u).
+_PANEL = 0.02
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+_GL_NODES = 0.5 * (_GL_NODES + 1.0)
+_GL_WEIGHTS = 0.5 * _PANEL * _GL_WEIGHTS
+_G_SHIFT = _LOG_4_OVER_SQRT_PI - 0.5 * math.log(2.0)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_A_PAST_FLOAT = 40.0
 
 
 def g_value(ratio: float, threshold: float) -> float:
@@ -47,71 +58,35 @@ def g_value(ratio: float, threshold: float) -> float:
     return 2.0 * u + 0.5 * math.log(u) + _LOG_4_OVER_SQRT_PI - threshold * math.sqrt(2.0 * u)
 
 
-def _boundary_mass(window: int, threshold: float) -> float:
-    """Asymptotic probability of a false alarm within the first window."""
-    return window * math.exp(-0.5 * threshold**2) / (2.0 * math.sqrt(math.pi))
+def _log_arl(threshold: float, window: int) -> tuple[float, float]:
+    """log ARL and its derivative in the threshold, from one quadrature.
 
-
-def run_length_cdf(t: float, window: int, threshold: float) -> float:
-    """P(run length <= t) under a stable stream.
-
-    Inside the first window the total boundary mass is spread linearly; beyond
-    it the Gumbel tail applies, floored at the boundary mass and held at its
-    running maximum so the function stays a monotone distribution function:
-    the asymptotic tail form starts below the boundary value right after
-    t = window and, for threshold > 2*sqrt(2), its exponent g peaks early and
-    dips before rising for good.
+    ARL = H * (1 + I) with I = int_0^inf e^u exp(-2 e^g) du and u = log(t/H).
+    In s = sqrt(2u) the integral is I = int_0^inf s exp(s^2/2 - 2 e^g) ds with
+    g = s^2 - a s + log s + log(4/sqrt(pi)) - log(2)/2, smooth at s = 0 where
+    the u form goes like sqrt(u).  It is summed as a composite Gauss-Legendre
+    rule, ten nodes on each panel 0.02 wide, over [0, S] with S (S - a) = 8:
+    past S, 2 e^g exceeds s^2/2 + 800, so the integrand f is below e^-800.
+    The sum runs in log space, so it stays finite past float range.  Since
+    dg/da = -s, dI/da = int 2 s e^g f ds comes from the same nodes.
     """
-    if t < 0:
-        raise ConfigurationError(f"t must be >= 0, got {t}")
-    if not threshold > 0:  # NaN fails too
-        raise ConfigurationError(f"threshold must be > 0, got {threshold}")
-    if window < 1:
-        raise ConfigurationError(f"window must be >= 1, got {window}")
-    mass = min(_boundary_mass(window, threshold), 1.0)
-    if t <= window:
-        return mass * t / window
-    g = g_value(t / window, threshold)
-    disc = threshold**2 - 8.0
-    if disc > 0.0:
-        # dg/du = x^2 - a x + 2 with x = 1/sqrt(2u): the local maximum of g
-        # is at sqrt(2u) = 2 / (a + sqrt(a^2 - 8))
-        peak = math.exp(2.0 / (threshold + math.sqrt(disc)) ** 2)
-        if t / window > peak:
-            g = max(g, g_value(peak, threshold))
-    if g > 40.0:
-        tail = 1.0
-    else:
-        tail = -math.expm1(-2.0 * math.exp(g))
-    return max(mass, tail)
-
-
-def _arl_quiet(threshold: float, window: int) -> float:
-    """ARL integral via u = log(t/H): H * (1 + int_0^inf e^u exp(-2 e^g) du);
-    math.inf once the integrand, and so the ARL, is past float range."""
     a = threshold
+    end = 0.5 * a + math.sqrt(0.25 * a * a + 8.0)
+    s = _PANEL * (np.arange(math.ceil(end / _PANEL))[:, None] + _GL_NODES)
+    log_s = np.log(s)
+    eg = np.exp(s * (s - a) + log_s + _G_SHIFT)
+    log_f = log_s + 0.5 * s * s - 2.0 * eg
+    peak = float(log_f.max())
+    wf = _GL_WEIGHTS * np.exp(log_f - peak)
+    total = float(wf.sum())
+    log_i = peak + math.log(total)
+    log_arl = math.log(window) + float(np.logaddexp(0.0, log_i))
+    slope = float(np.vdot(wf, 2.0 * s * eg)) / (math.exp(-peak) + total)
+    return log_arl, slope
 
-    def integrand(u: float) -> float:
-        if u <= 0.0:
-            return 1.0
-        g = 2.0 * u + 0.5 * math.log(u) + _LOG_4_OVER_SQRT_PI - a * math.sqrt(2.0 * u)
-        arg = u - 2.0 * math.exp(min(g, 700.0))
-        return math.exp(arg) if arg > -745.0 else 0.0
 
-    total, _ = integrate.quad(integrand, 0.0, 1.0, limit=200, epsabs=0.0, epsrel=1e-10)
-    lo = 1.0
-    while True:
-        try:
-            seg, _ = integrate.quad(
-                integrand, lo, 2.0 * lo, limit=200, epsabs=1e-300, epsrel=1e-10
-            )
-        except OverflowError:
-            return math.inf
-        total += seg
-        if seg < 1e-12 * total or lo > 1e6:
-            break
-        lo *= 2.0
-    return window * (1.0 + total)
+def _exp_or_inf(x: float) -> float:
+    return math.exp(x) if x < _LOG_FLOAT_MAX else math.inf
 
 
 def _check_regime(threshold: float, window: int) -> None:
@@ -126,13 +101,19 @@ def _check_regime(threshold: float, window: int) -> None:
 
 
 def theoretical_arl(threshold: float, window: int) -> float:
-    """Expected run length under a stable stream for the given threshold."""
+    """Expected run length under a stable stream for the given threshold, or
+    math.inf once it is past float range."""
     if not threshold > 0:  # NaN fails too
         raise ConfigurationError(f"threshold must be > 0, got {threshold}")
     if window < 1:
         raise ConfigurationError(f"window must be >= 1, got {window}")
     _check_regime(threshold, window)
-    return _arl_quiet(threshold, window)
+    # For a >= 2 and 1 <= s <= a - 1, e^g <= s e^-s e^0.467 < 0.6, so
+    # I > e^-1.2 int_1^(a-1) s e^(s^2/2) ds, past float range once a > 38.8;
+    # the cut keeps the node count bounded for any threshold.
+    if threshold > _A_PAST_FLOAT:
+        return math.inf
+    return _exp_or_inf(_log_arl(threshold, window)[0])
 
 
 @dataclass(frozen=True)
@@ -160,12 +141,14 @@ class CalibrationResult:
 def solve_threshold(target_arl: float, window: int) -> CalibrationResult:
     """Find the threshold whose theoretical ARL equals the target.
 
-    The ARL is strictly increasing in the threshold, so one Brent solve
-    (scipy.optimize.brentq) of log ARL(a) = log(target) finds it, on a
-    bracket whose upper end grows by 1.5x up to 50 until it holds the
-    target.  The log keeps a sign for an ARL past float range (inf).  An
-    achieved ARL more than 1e-6 relative off the target is an error.
-    solver_iterations counts ARL evaluations.
+    The ARL is strictly increasing in the threshold, so log ARL(a) =
+    log(target) has one root.  A bracket whose upper end grows by 1.5x up to
+    50 until it holds the target comes first; then Newton steps on log ARL,
+    with the slope from the same quadrature, run down from the upper end
+    until a step is at most 1e-12.  A step that would leave the bracket, which
+    every evaluation narrows, is a bisection instead.  The log stays finite
+    for an ARL past float range.  An achieved ARL more than 1e-6 relative off
+    the target is an error.  solver_iterations counts ARL evaluations.
     """
     if not math.isfinite(target_arl):
         raise ConfigurationError(f"target ARL must be finite, got {target_arl}")
@@ -176,12 +159,12 @@ def solve_threshold(target_arl: float, window: int) -> CalibrationResult:
             f"target ARL {target_arl} must exceed the window size {window}"
         )
     log_target = math.log(target_arl)
-    arls: dict[float, float] = {}  # every ARL evaluated, by threshold
+    evals: dict[float, tuple[float, float]] = {}  # (log ARL, slope) by threshold
 
     def residual(a: float) -> float:
-        if a not in arls:
-            arls[a] = _arl_quiet(a, window)
-        return math.log(arls[a]) - log_target
+        if a not in evals:
+            evals[a] = _log_arl(a, window)
+        return evals[a][0] - log_target
 
     lo, hi = _BRACKET
     if residual(lo) > 0.0:
@@ -195,8 +178,22 @@ def solve_threshold(target_arl: float, window: int) -> CalibrationResult:
         raise CalibrationInfeasibleError(
             f"target ARL {target_arl} not attainable for thresholds up to {hi}"
         )
-    threshold = brentq(residual, lo, hi, xtol=1e-12)
-    achieved = arls[threshold]
+    left, right, threshold = lo, hi, hi
+    for _ in range(_MAX_STEPS):
+        r = residual(threshold)
+        if r == 0.0:
+            break
+        if r < 0.0:
+            left = threshold
+        else:
+            right = threshold
+        step = r / evals[threshold][1]
+        if abs(step) <= _XTOL:
+            break
+        threshold -= step
+        if not left < threshold < right:
+            threshold = 0.5 * (left + right)
+    achieved = _exp_or_inf(evals[threshold][0])
     if abs(achieved - target_arl) > 1e-6 * target_arl:
         raise CalibrationInfeasibleError(
             f"threshold solver did not reach the 1e-6 relative residual for "
@@ -208,7 +205,7 @@ def solve_threshold(target_arl: float, window: int) -> CalibrationResult:
         window=window,
         threshold=float(threshold),
         achieved_arl=float(achieved),
-        solver_iterations=len(arls),
+        solver_iterations=len(evals),
         bracket=(lo, hi),
     )
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import cholesky, toeplitz
 
 from .detector import Detector, DetectorConfig
 from .errors import ConfigurationError, DependenceTooStrongError
@@ -115,7 +114,8 @@ class GeneratorSpec:
 @functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
 def _toeplitz_factor(p: int, rho: float) -> np.ndarray:
     """Lower Cholesky factor of the AR(1) Toeplitz matrix rho^|i-j|."""
-    factor = cholesky(toeplitz(rho ** np.arange(p)), lower=True)
+    k = np.arange(p)
+    factor = np.linalg.cholesky((rho**k)[abs(k[:, None] - k)])
     factor.setflags(write=False)
     return factor
 
@@ -125,7 +125,7 @@ def _equicorrelation_factor(p: int, rho: float) -> np.ndarray:
     """Lower Cholesky factor of the unit-diagonal, constant-rho matrix."""
     sigma = np.full((p, p), rho)
     np.fill_diagonal(sigma, 1.0)
-    factor = cholesky(sigma, lower=True)
+    factor = np.linalg.cholesky(sigma)
     factor.setflags(write=False)
     return factor
 

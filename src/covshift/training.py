@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import (
     ConfigurationError,
@@ -359,7 +359,7 @@ def _stationarity(gram: np.ndarray, table: TraceTable, alpha: float) -> Stationa
     plan = build_weight_plan(n0, table.dep_order)
     stat_raw = _summed_statistic(lambda i0, i1, j1: gram[i0:i1, :j1], plan)
     statistic = stat_raw / _null_sd(table, n0)
-    z_alpha = float(ndtri(1.0 - alpha))
+    z_alpha = NormalDist().inv_cdf(1.0 - alpha)
     return StationarityResult(statistic=statistic, z_alpha=z_alpha, rejected=bool(statistic > z_alpha))
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.optimize import brentq
 
 from covshift import (
@@ -14,7 +15,6 @@ from covshift import (
     g_value,
     min_detectable_change,
     population_null_sd,
-    run_length_cdf,
     solve_threshold,
     theoretical_arl,
 )
@@ -28,6 +28,71 @@ ARL_PAIRS = [
     (3.29, 150, 3033.0),
     (3.46, 150, 5118.0),
 ]
+
+
+def run_length_cdf(t: float, window: int, threshold: float) -> float:
+    """Oracle: P(run length <= t) under a stable stream.
+
+    Inside the first window the total boundary mass H e^(-a^2/2) / (2 sqrt(pi))
+    is spread linearly; beyond it the Gumbel tail 1 - exp(-2 e^g) applies,
+    floored at the boundary mass and held at its running maximum so the
+    function stays a monotone distribution function: the asymptotic tail form
+    starts below the boundary value right after t = window and, for
+    threshold > 2*sqrt(2), its exponent g peaks early and dips before rising
+    for good.
+    """
+    if t < 0:
+        raise ConfigurationError(f"t must be >= 0, got {t}")
+    if not threshold > 0:  # NaN fails too
+        raise ConfigurationError(f"threshold must be > 0, got {threshold}")
+    if window < 1:
+        raise ConfigurationError(f"window must be >= 1, got {window}")
+    mass = min(window * math.exp(-0.5 * threshold**2) / (2.0 * math.sqrt(math.pi)), 1.0)
+    if t <= window:
+        return mass * t / window
+    g = g_value(t / window, threshold)
+    disc = threshold**2 - 8.0
+    if disc > 0.0:
+        # dg/du = x^2 - a x + 2 with x = 1/sqrt(2u): the local maximum of g
+        # is at sqrt(2u) = 2 / (a + sqrt(a^2 - 8))
+        peak = math.exp(2.0 / (threshold + math.sqrt(disc)) ** 2)
+        if t / window > peak:
+            g = max(g, g_value(peak, threshold))
+    if g > 40.0:
+        tail = 1.0
+    else:
+        tail = -math.expm1(-2.0 * math.exp(g))
+    return max(mass, tail)
+
+
+def quad_arl(threshold: float, window: int) -> float:
+    """Oracle: the ARL integral in u = log(t/H) by adaptive quadrature,
+    H * (1 + int_0^inf e^u exp(-2 e^g) du), or math.inf once the integrand
+    is past float range."""
+    a = threshold
+    shift = math.log(4.0 / math.sqrt(math.pi))
+
+    def integrand(u: float) -> float:
+        if u <= 0.0:
+            return 1.0
+        g = 2.0 * u + 0.5 * math.log(u) + shift - a * math.sqrt(2.0 * u)
+        arg = u - 2.0 * math.exp(min(g, 700.0))
+        return math.exp(arg) if arg > -745.0 else 0.0
+
+    total, _ = integrate.quad(integrand, 0.0, 1.0, limit=200, epsabs=0.0, epsrel=1e-10)
+    lo = 1.0
+    while True:
+        try:
+            seg, _ = integrate.quad(
+                integrand, lo, 2.0 * lo, limit=200, epsabs=1e-300, epsrel=1e-10
+            )
+        except OverflowError:
+            return math.inf
+        total += seg
+        if seg < 1e-12 * total or lo > 1e6:
+            break
+        lo *= 2.0
+    return window * (1.0 + total)
 
 
 def test_g_value_collapses_at_ratio_e():
@@ -97,6 +162,30 @@ def test_solver_inverts_reference_pairs():
         assert res.achieved_arl == pytest.approx(arl, rel=1e-9)
         assert res.solver_iterations > 0
         assert res.bracket[0] < res.threshold < res.bracket[1]
+
+
+def test_arl_quadrature_matches_adaptive_oracle():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for h in (50, 100, 150, 200, 400):
+            for a in np.linspace(2.5, 12.0, 39):
+                want = quad_arl(a, h)
+                assert theoretical_arl(a, h) == pytest.approx(want, rel=1e-10), (a, h)
+    for a in (36.0, 37.0, 39.0, 40.0, 60.0, 1e6):
+        assert math.isinf(theoretical_arl(a, 100)) == math.isinf(quad_arl(a, 100)), a
+    assert math.isinf(theoretical_arl(1e6, 100))
+
+
+def test_solver_reproduces_recorded_thresholds():
+    # thresholds and evaluation counts recorded with scipy.optimize.brentq
+    recorded = [(1e8, 100, 5.7906191554306705, 10), (1e7, 400, 5.089457013862905, 11),
+                (5038.0, 100, 3.579946555087145, 13)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for target, h, threshold, evaluations in recorded:
+            res = solve_threshold(target, h)
+            assert abs(res.threshold - threshold) <= 1e-11, (target, h)
+            assert res.solver_iterations <= evaluations
 
 
 def test_solver_round_trip_random_thresholds():

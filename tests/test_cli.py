@@ -623,3 +623,39 @@ def test_declared_entry_point_runs_without_install():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["threshold"] == pytest.approx(3.04, abs=0.01)
+
+
+NO_SCIPY_RUN = """
+import json, sys
+import numpy as np
+import covshift
+import covshift.cli
+from covshift import (Detector, DetectorConfig, FitConfig, GeneratorSpec, PostChange,
+                      StreamGenerator, TrainingRecipe, fit_training, localize,
+                      monte_carlo_edd, solve_threshold)
+rng = np.random.default_rng(0)
+train = rng.standard_normal((60, 4))
+summary = fit_training(train, FitConfig(window=20))
+a = solve_threshold(1000.0, 20).threshold
+block = rng.standard_normal((30, 4))
+Detector(summary, DetectorConfig(window=20, threshold=a)).scan(block)
+localize(np.vstack([train, block]), summary)
+for model in ("a", "c"):
+    change = PostChange(model, 0.5, change_at=5)
+    StreamGenerator(GeneratorSpec(p=4, dep_order=0, pre_base="toeplitz06",
+                                  post_change=change), 1).take(10)
+spec = GeneratorSpec(p=4, dep_order=0, post_change=PostChange("a", 0.8, change_at=60))
+monte_carlo_edd(spec, TrainingRecipe(n0=60), a, 20, replicates=1)
+print(json.dumps(sorted(name for name in sys.modules if name.startswith("scipy"))))
+"""
+
+
+def test_runtime_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

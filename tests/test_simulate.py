@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import toeplitz
+from scipy.linalg import cholesky, toeplitz
 
 from covshift import (
     Detector,
@@ -169,6 +169,19 @@ def test_factor_caches_stay_bounded():
             build_q(model, 5 + i, 0.25, rng)
         info = cache.cache_info()
         assert 0 < info.currsize <= maxsize
+
+
+def test_factors_match_scipy_cholesky():
+    for p in (1, 2, 5, 50, 300):
+        for rho in (0.3, 0.6, 0.8):
+            equi = np.full((p, p), rho)
+            np.fill_diagonal(equi, 1.0)
+            for got, sigma in [
+                (_toeplitz_factor(p, rho), toeplitz(rho ** np.arange(p))),
+                (_equicorrelation_factor(p, rho), equi),
+            ]:
+                assert not got.flags.writeable
+                assert np.abs(got - cholesky(sigma, lower=True)).max() <= 1e-15, (p, rho)
 
 
 def test_change_norm_closed_forms():

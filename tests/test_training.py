@@ -190,6 +190,15 @@ def test_stationarity_critical_value_and_size_smoke():
     assert res.rejected == (res.statistic > res.z_alpha)
 
 
+def test_z_alpha_matches_recorded_ndtri():
+    # scipy.special.ndtri(1 - alpha), recorded with scipy 1.17.1
+    ndtri = {0.01: 2.3263478740408408, 0.05: 1.6448536269514722, 0.1: 1.2815515655446004}
+    x = np.random.default_rng(4).standard_normal((60, 5))
+    for alpha, z in ndtri.items():
+        got = stationarity_test(x, x.mean(axis=0), 0, alpha=alpha).z_alpha
+        assert abs(got - z) <= 1e-15 * z, (alpha, got, z)
+
+
 def test_stationarity_statistic_matches_dense_weights():
     # against sum W G^2 / n0^2 / sd from the dense weights
     rng = np.random.default_rng(23)
