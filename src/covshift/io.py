@@ -55,19 +55,22 @@ def read_csv_matrix(path: str) -> np.ndarray:
         for index, record in enumerate(reader, start=1):
             if not record or all(not cell.strip() for cell in record):
                 continue
-            if width is None:
+            first = width is None
+            if first:
                 width = len(record)
-                try:
-                    list(map(float, record))
-                except ValueError:
-                    continue  # header row
             elif len(record) != width:
                 raise DataError(
                     f"row {index} has {len(record)} columns, expected {width}"
                 )
-            rows.append(
-                [_parse_cell(cell, index, col) for col, cell in enumerate(record, 1)]
-            )
+            try:
+                rows.append(list(map(float, record)))
+            except ValueError:
+                if first:
+                    continue  # header row
+                # name the first cell that is not a number
+                for col, cell in enumerate(record, 1):
+                    _parse_cell(cell, index, col)
+                raise
             lines.append(index)
     if not rows:
         raise DataError(f"{path}: no data rows")

@@ -7,20 +7,24 @@ uninterrupted.  Closed-form population quantities (lag traces, null standard
 deviation, change norms) are available for the identity base, so Monte Carlo
 results can be compared against theory without estimation noise.
 
-The loading factors that need no random draws (the AR(1) Toeplitz factor
-behind model "a" and the "toeplitz06" base, and the model "c"
-equicorrelation factor) are computed once per (p, rho), kept in a small
-bounded cache and returned read-only, so every generator with the same
-(p, rho) shares one array.  Model "b" draws a fresh Q on every call.
+The loadings that need no random draws act on each row in place, in O(p)
+time and memory, with no p x p matrix: the AR(1) Toeplitz factor behind
+model "a" and the "toeplitz06" base is the recursion
+x_j = rho x_{j-1} + sqrt(1 - rho^2) e_j along the coordinates, and the
+model "c" equicorrelation factor is a diagonal scaling plus a shifted
+cumulative sum.  No row is mixed with another, so a take of one row gives
+the same bits as the same row inside a long take.  Model "b" draws a fresh
+dense Q from the generator's stream and multiplies by it.  build_q returns
+the dense Q of every model, the oracle the row-wise forms are checked
+against.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -51,8 +55,9 @@ _MODELS = ("a", "b", "c")
 _INNOVATIONS = ("gaussian", "student_t8")
 _BASES = ("identity", "toeplitz06")
 
-# Distinct (p, rho) factors kept per cache; a p=1000 factor is 8 MB.
-_FACTOR_CACHE_SIZE = 4
+# An AR(1) loading works in blocks of coordinates short enough that
+# |rho|^-t stays below 2**_AR1_EXPONENT within one block.
+_AR1_EXPONENT = 600
 
 # Monte Carlo runs take post-training rows in blocks that double from
 # _TAKE_FIRST up to _TAKE_CAP, so a run that stops early generates few rows
@@ -111,30 +116,73 @@ class GeneratorSpec:
             )
 
 
-@functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
-def _toeplitz_factor(p: int, rho: float) -> np.ndarray:
-    """Lower Cholesky factor of the AR(1) Toeplitz matrix rho^|i-j|."""
-    k = np.arange(p)
-    factor = np.linalg.cholesky((rho**k)[abs(k[:, None] - k)])
-    factor.setflags(write=False)
-    return factor
+# an in-place loading of a (k, p) block of rows; None is the identity
+_Loading = Optional[Callable[[np.ndarray], None]]
 
 
-@functools.lru_cache(maxsize=_FACTOR_CACHE_SIZE)
-def _equicorrelation_factor(p: int, rho: float) -> np.ndarray:
-    """Lower Cholesky factor of the unit-diagonal, constant-rho matrix."""
-    sigma = np.full((p, p), rho)
-    np.fill_diagonal(sigma, 1.0)
-    factor = np.linalg.cholesky(sigma)
-    factor.setflags(write=False)
-    return factor
+def _ar1_loading(p: int, rho: float) -> _Loading:
+    """Rows times the transposed lower Cholesky factor of rho^|i-j|.
 
-
-def _base_matrix(name: str, p: int) -> Optional[np.ndarray]:
-    """Loading matrix for a named pre-change base; None means identity."""
-    if name == "identity":
+    That factor maps e to the AR(1) recursion x_0 = e_0,
+    x_j = rho x_{j-1} + sqrt(1 - rho^2) e_j.  Over a block of coordinates
+    starting at a it is x_{a+t} = rho^t (rho x_{a-1} + sum_{u<=t} rho^-u w_u),
+    w_u the scaled draw of coordinate a + u: one cumulative sum between two
+    elementwise products, with the block's last value carried into the next.
+    """
+    if rho == 0.0:
         return None
-    return _toeplitz_factor(p, 0.6)
+    block = min(p, max(1, int(_AR1_EXPONENT / -math.log2(abs(rho)))))
+    down = rho ** np.arange(block)
+    up = math.sqrt((1.0 - rho) * (1.0 + rho)) / down
+    first = up.copy()
+    first[0] = 1.0
+
+    def load(rows: np.ndarray) -> None:
+        for a in range(0, p, block):
+            seg = rows[:, a:a + block]
+            w = seg.shape[1]
+            seg *= (up if a else first)[:w]
+            if a:
+                seg[:, 0] += rho * rows[:, a - 1]
+            np.cumsum(seg, axis=1, out=seg)
+            seg *= down[:w]
+
+    return load
+
+
+def _equicorrelation_loading(p: int, rho: float) -> _Loading:
+    """Rows times the transposed lower Cholesky factor of the unit-diagonal,
+    constant-rho matrix.
+
+    The factor holds d_j on its diagonal and c_j everywhere below it in
+    column j, so a row e maps to d * e plus the cumulative sum of c * e
+    shifted one coordinate right.  From the leading minors
+    (1 - rho)^(j-1) (1 + (j-1) rho): d_j^2 = (1 - rho)(1 + j rho) / (1 + (j-1) rho)
+    and c_j = rho (1 - rho) / ((1 + (j-1) rho) d_j), with d_0 = 1 and c_0 = rho.
+    """
+    j = np.arange(p)
+    prev = 1.0 + (j - 1) * rho
+    d = np.sqrt((1.0 - rho) * (1.0 + j * rho) / prev)
+    c = rho * (1.0 - rho) / (prev[:-1] * d[:-1])
+    if p > 1:
+        c[0] = rho
+
+    def load(rows: np.ndarray) -> None:
+        below = rows[:, :-1] * c
+        np.cumsum(below, axis=1, out=below)
+        rows *= d
+        rows[:, 1:] += below
+
+    return load
+
+
+def _dense_loading(q: np.ndarray) -> _Loading:
+    """Rows times q.T, through one block product."""
+
+    def load(rows: np.ndarray) -> None:
+        rows[...] = rows @ q.T
+
+    return load
 
 
 def _check_change(model: str, p: int, rho: float) -> None:
@@ -155,16 +203,22 @@ def _check_change(model: str, p: int, rho: float) -> None:
 
 
 def build_q(model: str, p: int, rho: float, rng: np.random.Generator) -> np.ndarray:
-    """Post-change loading matrix Q for the given change model.
+    """Post-change loading matrix Q for the given change model, as a dense
+    p x p array.
 
-    Models "a" and "c" return a cached read-only factor, shared by every call
-    with the same (p, rho); model "b" draws a fresh Q from rng.
+    Models "a" and "c" return the lower Cholesky factor of their target
+    covariance and draw nothing from rng; model "b" draws a fresh Q from rng.
+    StreamGenerator applies the "a" and "c" factors row by row without
+    forming them, so this is the reference it is checked against.
     """
     _check_change(model, p, rho)
     if model == "a":
-        return _toeplitz_factor(p, float(rho))
+        k = np.arange(p)
+        return np.linalg.cholesky((float(rho) ** k)[abs(k[:, None] - k)])
     if model == "c":
-        return _equicorrelation_factor(p, float(rho))
+        sigma = np.full((p, p), float(rho))
+        np.fill_diagonal(sigma, 1.0)
+        return np.linalg.cholesky(sigma)
     q = np.eye(p)
     for i in range(p):
         cols = rng.choice(p, size=min(3, p), replace=False)
@@ -237,26 +291,36 @@ class StreamGenerator:
     """Stateful stream source; successive take() calls continue the stream.
 
     Chunk boundaries do not affect the output: take(n) and repeated smaller
-    takes produce bit-identical observations for the same seed.
+    takes produce bit-identical observations for the same seed.  q holds
+    model "b"'s realized Q, which change_norm_frobenius needs; it is None
+    for the other models, whose loadings are never formed.
     """
 
     def __init__(self, spec: GeneratorSpec, seed) -> None:
         self.spec = spec
         self._rng = np.random.default_rng(seed)
-        self._base = _base_matrix(spec.pre_base, spec.p)
+        self._base = None if spec.pre_base == "identity" else _ar1_loading(spec.p, 0.6)
         self.q: Optional[np.ndarray] = None
-        if spec.post_change is not None:
-            self.q = build_q(
-                spec.post_change.model, spec.p, spec.post_change.rho, self._rng
-            )
+        self._post: _Loading = None
+        change = spec.post_change
+        if change is not None:
+            _check_change(change.model, spec.p, change.rho)
+            if change.model == "a":
+                self._post = _ar1_loading(spec.p, change.rho)
+            elif change.model == "c":
+                self._post = _equicorrelation_loading(spec.p, change.rho)
+            else:
+                self.q = build_q("b", spec.p, change.rho, self._rng)
+                self._post = _dense_loading(self.q)
         self._tail = np.zeros((spec.dep_order, spec.p))
         self._count = 0
 
-    def _innovations(self, k: int) -> np.ndarray:
+    def _innovations(self, out: np.ndarray) -> None:
         if self.spec.innovation == "gaussian":
-            return self._rng.standard_normal((k, self.spec.p))
-        draws = self._rng.standard_t(8, size=(k, self.spec.p))
-        return draws * math.sqrt(0.75)
+            self._rng.standard_normal(out=out)
+        else:
+            draws = self._rng.standard_t(8, size=out.shape)
+            np.multiply(draws, math.sqrt(0.75), out=out)
 
     def take(self, k: int) -> np.ndarray:
         """Next k observations as a (k, p) array."""
@@ -265,23 +329,28 @@ class StreamGenerator:
         if k == 0:
             return np.empty((0, self.spec.p))
         m = self.spec.dep_order
-        eps = np.concatenate([self._tail, self._innovations(k)], axis=0)
-        coeffs = ma_coefficients(m)
-        s = coeffs[0] * eps[m : m + k]
-        for l in range(1, m + 1):
-            s = s + coeffs[l] * eps[m - l : m - l + k]
+        eps = np.empty((m + k, self.spec.p))
+        eps[:m] = self._tail
+        self._innovations(eps[m:])
+        s = eps
         if m > 0:
             self._tail = eps[-m:].copy()
+            coeffs = ma_coefficients(m)
+            s = np.multiply(eps[m:], coeffs[0])
+            scratch = np.empty_like(s) if m > 1 else None
+            for l in range(1, m):
+                s += np.multiply(eps[m - l : m - l + k], coeffs[l], out=scratch)
+            s += eps[:k]  # lag m has coefficient 1
         # rows 1..change_at of the stream come before the change: the
         # first pre rows of this take
         pre = k
         if self.spec.post_change is not None:
             pre = min(max(self.spec.post_change.change_at - self._count, 0), k)
         self._count += k
-        if self._base is not None:
-            s[:pre] = s[:pre] @ self._base.T
-        if pre < k:
-            s[pre:] = s[pre:] @ self.q.T
+        if self._base is not None and pre:
+            self._base(s[:pre])
+        if self._post is not None and pre < k:
+            self._post(s[pre:])
         return s
 
 
@@ -420,11 +489,8 @@ def _monte_carlo(
 
     if workers <= 1:
         return _summarize([run(r) for r in range(replicates)])
-    # replicate 0 fills the loading-factor caches before the pool starts, so
-    # the workers do not all miss at once and factor the same matrix
-    first = run(0)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return _summarize([first, *pool.map(run, range(1, replicates))])
+        return _summarize(list(pool.map(run, range(replicates))))
 
 
 def monte_carlo_arl(

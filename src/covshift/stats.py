@@ -162,6 +162,9 @@ class WindowState:
         # _slots[o:o + capacity] lists the slots in time order when the
         # oldest row is in slot o
         self._slots = np.arange(2 * capacity) % capacity
+        # _bands[d - 1][o:o + capacity - d] is the flat ring index of the
+        # entries (position k + d, position k) when the oldest row is in slot o
+        self._bands: list[np.ndarray] = []
 
     def push(self, x, mean) -> "WindowState":
         """Center x, store it (evicting the oldest when full), cache products."""
@@ -237,6 +240,13 @@ class WindowState:
     def full(self) -> bool:
         return self.count >= self.capacity
 
+    def _band_index(self, d: int) -> np.ndarray:
+        """Flat ring index of band diagonal d over the doubled slot array."""
+        while len(self._bands) < d:
+            e = len(self._bands) + 1
+            self._bands.append(self._slots[e:] * self.capacity + self._slots[:-e])
+        return self._bands[d - 1]
+
 
 def statistic_windowed(state: WindowState, plan: WeightPlan) -> float | None:
     """Windowed statistic over the current contents; None until full.
@@ -262,6 +272,6 @@ def statistic_windowed(state: WindowState, plan: WeightPlan) -> float | None:
     total = u[1:].dot(ring[o].take(order[1:])) + v.dot(state._newer.take(order))
     flat = ring.reshape(-1)
     for d in range(1, plan.dep_order + 1):
-        band = flat.take(order[d:] * h + order[:-d])  # G^2 of positions k+d, k
+        band = flat.take(state._band_index(d)[o:o + h - d])  # G^2 of positions k+d, k
         total -= u[d:].dot(band) + v[:-d].dot(band)
     return float(2.0 * total / h**2)

@@ -158,6 +158,10 @@ class TrainingSummary:
         )
 
 
+# slab rows copied and re-centered per block in _diagonal_slab
+_SLAB_BLOCK = 64
+
+
 def _centered_gram(train: np.ndarray, mean) -> np.ndarray:
     xc = train - _check_mean(mean, train.shape[1])
     return xc @ xc.T
@@ -168,10 +172,14 @@ def _diagonal_slab(gram: np.ndarray, band: int, recenter: bool) -> np.ndarray:
 
     Row r of the (n - band - 1) x (n + 1) slab holds diagonal d = band + 1 + r,
     D_d[i] = G[i, i + d] for i < n - d, and zeros after it; the returned
-    array is its flat view.  With recenter=True the off-band sample-mean
-    offset is removed entry by entry, G - (r_i + r_j) + c with r the
-    off-band row means and c their grand mean (see the module docstring).
-    The row sums read the slab twice: down its columns for the entries
+    array is its flat view.  In the flat Gram, G[i, i + d] sits at
+    i (n + 1) + d, so one view with row stride n + 1 starting at band + 1
+    holds every diagonal as a column; the slab is its transpose, copied in
+    blocks of rows, with the entries past each diagonal's end cleared.
+    With recenter=True the off-band sample-mean offset is removed entry by
+    entry, G - (r_i + r_j) + c with r the off-band row means and c their
+    grand mean (see the module docstring), r_j read from a Hankel view of
+    r.  The row sums read the slab twice: down its columns for the entries
     right of the band, and down the columns of the slab seen with row
     stride n, whose entry (r, j) is G[j - r, j + band + 1] (zero for j < r),
     for the entries left of it.
@@ -179,19 +187,41 @@ def _diagonal_slab(gram: np.ndarray, band: int, recenter: bool) -> np.ndarray:
     n = gram.shape[0]
     rows = max(n - band - 1, 0)
     slab = np.zeros((rows, n + 1))
-    for r, d in enumerate(range(band + 1, n)):
-        slab[r, :n - d] = gram.diagonal(d)
-    if recenter and rows:
+    if not rows:
+        return slab.reshape(-1)
+    diagonals = gram.reshape(-1)[band + 1:n * n - band * n].reshape(rows, n + 1)[:, :rows].T
+    # slab row r holds rows - r entries, so a block of rows from r0 spans
+    # the first rows - r0 columns, and the anti-triangle at the block's
+    # right end lies past its diagonals' ends
+    blocks = [(r0, min(r0 + _SLAB_BLOCK, rows)) for r0 in range(0, rows, _SLAB_BLOCK)]
+    past_end = np.tri(_SLAB_BLOCK, k=-1, dtype=bool)
+
+    def clear(r0: int, r1: int) -> None:
+        b, w = r1 - r0, rows - r0
+        slab[r0:r1, w - b:w][:, ::-1][past_end[:b, :b]] = 0.0
+
+    for r0, r1 in blocks:
+        slab[r0:r1, :rows - r0] = diagonals[r0:r1, :rows - r0]
+        clear(r0, r1)
+    if recenter:
         sums = slab[:, :n].sum(axis=0)
         sums[band + 1:] += slab.reshape(-1)[:rows * n].reshape(rows, n)[:, :rows].sum(axis=0)
         idx = np.arange(n)
         counts = np.maximum(idx - band, 0) + np.maximum(n - 1 - band - idx, 0)
         grand = float(sums.sum() / counts.sum())
         row = np.where(counts > 0, sums / np.maximum(counts, 1), grand)
-        for r, d in enumerate(range(band + 1, n)):
-            diag = slab[r, :n - d]
-            diag -= row[:n - d] + row[d:]
-            diag += grand
+        padded = np.zeros(n + rows)
+        padded[:n] = row
+        # hankel[r, i] = row[i + d] for slab row r, diagonal d; zero past n
+        hankel = np.lib.stride_tricks.sliding_window_view(padded[band + 1:], rows)
+        offset = np.empty((_SLAB_BLOCK, rows))
+        for r0, r1 in blocks:
+            w = rows - r0
+            block, both = slab[r0:r1, :w], offset[:r1 - r0, :w]
+            np.add(row[:w], hankel[r0:r1, :w], out=both)
+            block -= both
+            block += grand
+            clear(r0, r1)
     return slab.reshape(-1)
 
 

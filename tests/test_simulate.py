@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from covshift import (
     population_null_sd,
 )
 from covshift.errors import ConfigurationError
-from covshift.simulate import _equicorrelation_factor, _one_run, _toeplitz_factor
+from covshift.simulate import _one_run
 
 
 def test_ma_coefficient_values():
@@ -79,6 +80,15 @@ def test_seed_determinism_and_chunk_invariance():
     assert np.array_equal(a1, a3)
     b = gen_stream(spec, 137, 100)
     assert not np.array_equal(a1, b)
+    # the row-wise loadings give a 1-row take after the change the bits of
+    # the same row in one long take
+    for base, model, rho in [("identity", "a", 0.6), ("identity", "c", 0.3),
+                             ("toeplitz06", "a", -0.7), ("toeplitz06", None, 0.0)]:
+        change = None if model is None else PostChange(model, rho, change_at=5)
+        spec = GeneratorSpec(p=50, dep_order=1, pre_base=base, post_change=change)
+        g = StreamGenerator(spec, 7)
+        rows = np.vstack([g.take(1) for _ in range(12)] + [g.take(3)])
+        assert np.array_equal(rows, gen_stream(spec, 15, 7)), (base, model)
 
 
 def test_change_takes_effect_at_the_right_row():
@@ -147,41 +157,56 @@ def test_build_q_validates_rho():
             change_norm_frobenius(model, p, rho, 0, q=np.eye(p))
 
 
-def test_cached_factors_are_shared_and_read_only():
-    for model, rho in [("a", 0.45), ("c", 0.35)]:
-        spec = GeneratorSpec(p=25, dep_order=0, pre_base="toeplitz06",
-                             post_change=PostChange(model, rho, change_at=10))
-        g1, g2 = StreamGenerator(spec, 1), StreamGenerator(spec, 2)
-        assert g1.q is g2.q
-        assert g1._base is g2._base
-        for factor in (g1.q, g1._base):
-            with pytest.raises(ValueError):
-                factor[0, 0] = 2.0
+def test_row_wise_loadings_match_scipy_cholesky():
+    # the generator's loadings against the dense product with scipy's factor
+    # of the target covariance; rho near 0, near +-1 and negative, and model
+    # "c" near its lower limit -1/(p-1)
+    rng = np.random.default_rng(31)
+    for p in (1, 2, 5, 50, 300, 1000):
+        cases = [("a", rho) for rho in (1e-3, 0.3, 0.6, 0.99, -0.5, -0.99)]
+        cases += [("c", rho) for rho in (1e-3, 0.35, 0.99)]
+        if p > 1:
+            cases += [("c", -0.5 / (p - 1)), ("c", -0.99 / (p - 1))]
+        for model, rho in cases:
+            if model == "a":
+                sigma = toeplitz(rho ** np.arange(p))
+            else:
+                sigma = np.full((p, p), rho)
+                np.fill_diagonal(sigma, 1.0)
+            factor = cholesky(sigma, lower=True)
+            spec = GeneratorSpec(p=p, dep_order=0,
+                                 post_change=PostChange(model, rho, change_at=0))
+            got = gen_stream(spec, 6, 5)
+            want = gen_stream(GeneratorSpec(p=p, dep_order=0), 6, 5) @ factor.T
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (p, model, rho)
+            assert np.allclose(build_q(model, p, rho, rng), factor,
+                               rtol=0, atol=1e-12), (p, model, rho)
+    # the "toeplitz06" base is the model "a" loading at rho = 0.6
+    base = gen_stream(GeneratorSpec(p=300, dep_order=0, pre_base="toeplitz06"), 6, 5)
+    want = gen_stream(GeneratorSpec(p=300, dep_order=0), 6, 5) @ cholesky(
+        toeplitz(0.6 ** np.arange(300)), lower=True).T
+    assert np.abs(base - want).max() <= 1e-13 * np.abs(want).max()
+    # model "b" keeps a fresh dense Q per generator
     spec_b = GeneratorSpec(p=25, dep_order=0, post_change=PostChange("b", 0.3, change_at=10))
     assert not np.array_equal(StreamGenerator(spec_b, 1).q, StreamGenerator(spec_b, 2).q)
 
 
-def test_factor_caches_stay_bounded():
-    rng = np.random.default_rng(0)
-    for model, cache in [("a", _toeplitz_factor), ("c", _equicorrelation_factor)]:
-        maxsize = cache.cache_info().maxsize
-        for i in range(maxsize + 3):
-            build_q(model, 5 + i, 0.25, rng)
-        info = cache.cache_info()
-        assert 0 < info.currsize <= maxsize
-
-
-def test_factors_match_scipy_cholesky():
-    for p in (1, 2, 5, 50, 300):
-        for rho in (0.3, 0.6, 0.8):
-            equi = np.full((p, p), rho)
-            np.fill_diagonal(equi, 1.0)
-            for got, sigma in [
-                (_toeplitz_factor(p, rho), toeplitz(rho ** np.arange(p))),
-                (_equicorrelation_factor(p, rho), equi),
-            ]:
-                assert not got.flags.writeable
-                assert np.abs(got - cholesky(sigma, lower=True)).max() <= 1e-15, (p, rho)
+def test_row_wise_loadings_build_no_p_by_p_array():
+    # a p x p float64 array at p = 1000 is 8 MB; the first generator loads
+    # numpy's random modules, so one is made before tracing starts
+    gen_stream(GeneratorSpec(p=2, dep_order=0), 1, 0)
+    for model in ("a", "c"):
+        spec = GeneratorSpec(p=1000, dep_order=2, pre_base="toeplitz06",
+                             post_change=PostChange(model, 0.6, change_at=16))
+        tracemalloc.start()
+        try:
+            gen = StreamGenerator(spec, 3)
+            gen.take(32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gen.q is None
+        assert peak < 1.5e6, (model, peak)
 
 
 def test_change_norm_closed_forms():
@@ -263,13 +288,6 @@ def test_worker_count_does_not_change_results():
     assert mc1.mean == mc3.mean
 
 
-def test_parallel_replicates_factor_the_loading_matrix_once():
-    spec = GeneratorSpec(p=300, dep_order=0, post_change=PostChange("a", 0.55, change_at=60))
-    before = _toeplitz_factor.cache_info().misses
-    monte_carlo_edd(spec, TrainingRecipe(n0=60), 3.0, 20, replicates=8, seed=1, workers=4)
-    assert _toeplitz_factor.cache_info().misses - before == 1
-
-
 def test_censoring_counts_and_unreliable_flag():
     # (p, n0, threshold, window, max_steps, seed, censored): no replicate alarms
     # in the first case; in the second every one alarms on the last allowed step
@@ -310,7 +328,7 @@ def test_dep_order_study_counts():
 
 def test_monte_carlo_stopping_times_are_pinned():
     # Exact stopping times for fixed seeds: the block sizes rows are taken in
-    # and the caching of loading factors must not move any of them.
+    # must not move any of them.
     edd_spec = GeneratorSpec(p=60, dep_order=0, post_change=PostChange("a", 0.6, change_at=80))
     edd = monte_carlo_edd(edd_spec, TrainingRecipe(n0=80), 3.0, 30, replicates=6, seed=11)
     assert edd.values.tolist() == [12, 17, 31, 5, 17, 13]

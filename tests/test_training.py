@@ -97,6 +97,40 @@ def test_trace_cross_matches_brute_force_oracle():
                             n0, sep, h1, h2, recenter)
 
 
+def per_diagonal_slab(gram, band, recenter):
+    """Oracle for training._diagonal_slab: one diagonal copied and re-centered
+    at a time, in the same arithmetic order."""
+    n = gram.shape[0]
+    rows = max(n - band - 1, 0)
+    slab = np.zeros((rows, n + 1))
+    for r, d in enumerate(range(band + 1, n)):
+        slab[r, :n - d] = gram.diagonal(d)
+    if recenter and rows:
+        sums = slab[:, :n].sum(axis=0)
+        sums[band + 1:] += slab.reshape(-1)[:rows * n].reshape(rows, n)[:, :rows].sum(axis=0)
+        idx = np.arange(n)
+        counts = np.maximum(idx - band, 0) + np.maximum(n - 1 - band - idx, 0)
+        grand = float(sums.sum() / counts.sum())
+        row = np.where(counts > 0, sums / np.maximum(counts, 1), grand)
+        for r, d in enumerate(range(band + 1, n)):
+            diag = slab[r, :n - d]
+            diag -= row[:n - d] + row[d:]
+            diag += grand
+    return slab.reshape(-1)
+
+
+def test_diagonal_slab_matches_per_diagonal_oracle():
+    rng = np.random.default_rng(23)
+    for n0 in (7, 200, 1000):
+        x = rng.standard_normal((n0, 6))
+        gram = training._centered_gram(x, x.mean(axis=0))
+        for band in (0, 1, 2, 10):
+            for recenter in (False, True):
+                got = training._diagonal_slab(gram, band, recenter)
+                assert np.array_equal(got, per_diagonal_slab(gram, band, recenter)), (
+                    n0, band, recenter)
+
+
 def test_trace_row_count_boundary():
     rng = np.random.default_rng(18)
     for sep in (0, 1, 2):
