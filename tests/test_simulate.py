@@ -157,7 +157,7 @@ def test_build_q_validates_rho():
             change_norm_frobenius(model, p, rho, 0, q=np.eye(p))
 
 
-def test_row_wise_loadings_match_scipy_cholesky():
+def test_factors_match_scipy_cholesky():
     # the generator's loadings against the dense product with scipy's factor
     # of the target covariance; rho near 0, near +-1 and negative, and model
     # "c" near its lower limit -1/(p-1)
