@@ -14,9 +14,10 @@ x_j = rho x_{j-1} + sqrt(1 - rho^2) e_j along the coordinates, and the
 model "c" equicorrelation factor is a diagonal scaling plus a shifted
 cumulative sum.  No row is mixed with another, so a take of one row gives
 the same bits as the same row inside a long take.  Model "b" draws a fresh
-dense Q from the generator's stream and multiplies by it.  build_q returns
-the dense Q of every model, the oracle the row-wise forms are checked
-against.
+Q from the generator's stream, the identity plus three entries per row, and
+loads each coordinate from that row's nonzeros alone, which keeps the same
+promise.  build_q returns the dense Q of every model, the oracle the
+row-wise forms are checked against.
 """
 
 from __future__ import annotations
@@ -176,11 +177,22 @@ def _equicorrelation_loading(p: int, rho: float) -> _Loading:
     return load
 
 
-def _dense_loading(q: np.ndarray) -> _Loading:
-    """Rows times q.T, through one block product."""
+def _sparse_loading(q: np.ndarray) -> _Loading:
+    """Rows times q.T for a q with at most four nonzeros per row (model "b").
+
+    Coordinate i of a loaded row is the sum over row i's nonzeros, taken in
+    column order, of the gathered coordinate times its entry: the same
+    elementwise products and sums whatever the number of rows loaded.
+    """
+    width = min(4, q.shape[1])
+    cols = np.argsort(q == 0.0, axis=1, kind="stable")[:, :width]
+    vals = np.take_along_axis(q, cols, axis=1)
 
     def load(rows: np.ndarray) -> None:
-        rows[...] = rows @ q.T
+        out = rows[:, cols[:, 0]] * vals[:, 0]
+        for j in range(1, width):
+            out += rows[:, cols[:, j]] * vals[:, j]
+        rows[...] = out
 
     return load
 
@@ -311,7 +323,7 @@ class StreamGenerator:
                 self._post = _equicorrelation_loading(spec.p, change.rho)
             else:
                 self.q = build_q("b", spec.p, change.rho, self._rng)
-                self._post = _dense_loading(self.q)
+                self._post = _sparse_loading(self.q)
         self._tail = np.zeros((spec.dep_order, spec.p))
         self._count = 0
 

@@ -80,9 +80,9 @@ def _offband_sums(block, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return row, col
 
 
-def _summed_statistic(block, plan: WeightPlan) -> float:
-    """sum W G^2 / n^2 = 2 (u . row + v . col) / n^2, block as in _offband_sums."""
-    row, col = _offband_sums(block, plan.length, plan.dep_order)
+def _summed_statistic(row: np.ndarray, col: np.ndarray, plan: WeightPlan) -> float:
+    """sum W G^2 / n^2 = 2 (u . row + v . col) / n^2 from the off-band sums
+    of _offband_sums."""
     return float(2.0 * (plan.u.dot(row) + plan.v.dot(col)) / float(plan.length) ** 2)
 
 
@@ -98,7 +98,8 @@ def statistic_batch(obs, mean, plan: WeightPlan) -> float:
     if plan.length != n:
         raise ConfigurationError(f"plan built for length {plan.length}, got {n} observations")
     xc = x - _check_mean(mean, p)
-    return _summed_statistic(lambda i0, i1, j1: xc[i0:i1] @ xc[:j1].T, plan)
+    row, col = _offband_sums(lambda i0, i1, j1: xc[i0:i1] @ xc[:j1].T, n, plan.dep_order)
+    return _summed_statistic(row, col, plan)
 
 
 def _split_profile(xc: np.ndarray, dep_order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -83,7 +83,8 @@ def test_seed_determinism_and_chunk_invariance():
     # the row-wise loadings give a 1-row take after the change the bits of
     # the same row in one long take
     for base, model, rho in [("identity", "a", 0.6), ("identity", "c", 0.3),
-                             ("toeplitz06", "a", -0.7), ("toeplitz06", None, 0.0)]:
+                             ("toeplitz06", "a", -0.7), ("toeplitz06", None, 0.0),
+                             ("identity", "b", 0.4)]:
         change = None if model is None else PostChange(model, rho, change_at=5)
         spec = GeneratorSpec(p=50, dep_order=1, pre_base=base, post_change=change)
         g = StreamGenerator(spec, 7)
@@ -186,9 +187,17 @@ def test_factors_match_scipy_cholesky():
     want = gen_stream(GeneratorSpec(p=300, dep_order=0), 6, 5) @ cholesky(
         toeplitz(0.6 ** np.arange(300)), lower=True).T
     assert np.abs(base - want).max() <= 1e-13 * np.abs(want).max()
-    # model "b" keeps a fresh dense Q per generator
+    # model "b" keeps a fresh dense Q per generator, drawn before the
+    # innovations, and loads the rows as their product with it
     spec_b = GeneratorSpec(p=25, dep_order=0, post_change=PostChange("b", 0.3, change_at=10))
     assert not np.array_equal(StreamGenerator(spec_b, 1).q, StreamGenerator(spec_b, 2).q)
+    for p in (1, 3, 25):
+        spec_b = GeneratorSpec(p=p, dep_order=0, post_change=PostChange("b", 0.7, change_at=0))
+        draws = np.random.default_rng(5)
+        q = build_q("b", p, 0.7, draws)
+        want = draws.standard_normal((6, p)) @ q.T
+        got = StreamGenerator(spec_b, 5).take(6)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), p
 
 
 def test_row_wise_loadings_build_no_p_by_p_array():

@@ -16,6 +16,7 @@ from covshift import (
 )
 from covshift import training
 from covshift.simulate import GeneratorSpec
+from covshift.stats import _offband_sums
 from covshift.errors import (
     ConfigurationError,
     DegenerateVarianceError,
@@ -97,38 +98,83 @@ def test_trace_cross_matches_brute_force_oracle():
                             n0, sep, h1, h2, recenter)
 
 
-def per_diagonal_slab(gram, band, recenter):
-    """Oracle for training._diagonal_slab: one diagonal copied and re-centered
-    at a time, in the same arithmetic order."""
+def per_diagonal_slab(gram, band):
+    """Oracle for training._diagonal_slab past a band: the diagonals beyond
+    it, one copied at a time into rows of width n + 1."""
     n = gram.shape[0]
     rows = max(n - band - 1, 0)
     slab = np.zeros((rows, n + 1))
     for r, d in enumerate(range(band + 1, n)):
         slab[r, :n - d] = gram.diagonal(d)
-    if recenter and rows:
-        sums = slab[:, :n].sum(axis=0)
-        sums[band + 1:] += slab.reshape(-1)[:rows * n].reshape(rows, n)[:, :rows].sum(axis=0)
-        idx = np.arange(n)
-        counts = np.maximum(idx - band, 0) + np.maximum(n - 1 - band - idx, 0)
-        grand = float(sums.sum() / counts.sum())
-        row = np.where(counts > 0, sums / np.maximum(counts, 1), grand)
-        for r, d in enumerate(range(band + 1, n)):
-            diag = slab[r, :n - d]
-            diag -= row[:n - d] + row[d:]
-            diag += grand
     return slab.reshape(-1)
 
 
 def test_diagonal_slab_matches_per_diagonal_oracle():
+    # the estimates at band b read the one slab from its row b on
     rng = np.random.default_rng(23)
     for n0 in (7, 200, 1000):
         x = rng.standard_normal((n0, 6))
         gram = training._centered_gram(x, x.mean(axis=0))
+        slab = training._diagonal_slab(gram)
         for band in (0, 1, 2, 10):
-            for recenter in (False, True):
-                got = training._diagonal_slab(gram, band, recenter)
-                assert np.array_equal(got, per_diagonal_slab(gram, band, recenter)), (
-                    n0, band, recenter)
+            got = slab[band * (n0 + 1):]
+            assert np.array_equal(got, per_diagonal_slab(gram, band)), (n0, band)
+
+
+def test_fit_bands_match_brute_force_oracle(monkeypatch):
+    # an estimated-order fit builds one slab; its order scan (band max_order)
+    # and its table (band M) match the oracle on every lag pair, lags of both
+    # signs trimming every matrix edge
+    built, slabs = [], []
+    real_off_band, real_slab = training._OffBand, training._diagonal_slab
+
+    def recording(*args):
+        built.append(real_off_band(*args))
+        return built[-1]
+
+    def counting(gram):
+        slabs.append(1)
+        return real_slab(gram)
+
+    monkeypatch.setattr(training, "_OffBand", recording)
+    monkeypatch.setattr(training, "_diagonal_slab", counting)
+    # MA(1) rows whose fitted orders, 1 and 2, put the table at a band of
+    # its own
+    for n0, max_order, seed, order in [(14, 2, 2, 1), (37, 4, 4, 2)]:
+        e = np.random.default_rng(seed).standard_normal((n0 + 1, 20))
+        x = e[1:] + e[:-1]
+        built.clear()
+        slabs.clear()
+        summary = fit_training(x, FitConfig(window=10, max_order=max_order))
+        assert summary.dep_order == order
+        assert len(slabs) == 1 and len(built) == 1, n0
+        mean = summary.mean
+        scale = float(np.max(np.abs((x - mean) @ (x - mean).T))) ** 2
+
+        def check(got, h1, h2, band):
+            want = brute_trace_cross(x, mean, h1, h2, band, recenter=True)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * scale), (n0, band, h1, h2)
+
+        scan = [(h, -h) for h in range(max_order + 1)]
+        for (h1, h2), got in zip(scan, training._trace_sums(built[0], max_order, scan)):
+            check(got, h1, h2, max_order)
+        for (h1, h2), got in summary.trace_table.entries.items():
+            check(got, h1, h2, summary.dep_order)
+        table = training._trace_table(built[0], max_order)
+        for (h1, h2), got in table.entries.items():
+            check(got, h1, h2, max_order)
+
+
+def test_offband_squares_match_gram_reduction():
+    rng = np.random.default_rng(29)
+    for n0 in (7, 200, 1000):
+        x = rng.standard_normal((n0, 5))
+        gram = training._centered_gram(x, x.mean(axis=0))
+        off = training._OffBand(gram, 0)
+        for band in (0, 1, 2, 10):
+            want = _offband_sums(lambda i0, i1, j1: gram[i0:i1, :j1], n0, band)
+            for got, ref in zip(off.offband_squares(band), want):
+                assert np.all(np.abs(got - ref) <= 1e-12 * ref), (n0, band)
 
 
 def test_trace_row_count_boundary():
