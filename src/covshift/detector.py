@@ -13,6 +13,7 @@ change point.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -110,7 +111,7 @@ class Detector:
         self._finished = False
         self._alarm_stat: Optional[float] = None
         self._stopping_time: Optional[int] = None
-        self.trajectory: list = []
+        self._trajectory = array("d")  # 8 bytes per statistic
         if isinstance(prime, str):
             if prime != "auto":
                 raise ConfigurationError(f"unknown prime mode {prime!r}")
@@ -124,6 +125,11 @@ class Detector:
     def steps(self) -> int:
         """Number of post-training observations consumed so far."""
         return self._steps
+
+    @property
+    def trajectory(self) -> list:
+        """Every standardized statistic so far, as a new list."""
+        return self._trajectory.tolist()
 
     @property
     def finished(self) -> bool:
@@ -149,7 +155,7 @@ class Detector:
             return None
         raw = statistic_windowed(self._state, self.plan)
         std_stat = float(raw / self.summary.null_sd)
-        self.trajectory.append(std_stat)
+        self._trajectory.append(std_stat)
         if abs(std_stat) > self.config.threshold:
             self._finished = True
             self._alarm_stat = std_stat
@@ -203,7 +209,7 @@ class Detector:
         return DetectionReport(
             stopping_time=self._stopping_time,
             alarm_statistic=self._alarm_stat,
-            trajectory=list(self.trajectory),
+            trajectory=self._trajectory.tolist(),
             tau_hat=tau_hat,
             delay_vs_tau_hat=delay,
         )

@@ -4,15 +4,17 @@ The core quantity is a weighted double sum of squared centered inner products
 (x_i - mean)'(x_j - mean): with the summed weight matrix it measures overall
 covariance instability (mean zero under a stable stream), and with a single
 split's weights it profiles where a change happened.  The sliding-window form
-keeps the pairwise products in a ring written one row and one column per
-observation, so each new observation costs O(H * p) for its new products,
-and the statistic, read through the separable weights W(i, j) = u(i) + v(j),
-costs O(H * (M + 1)).  An empty window can also be loaded with k rows at
-once (a detector primed from the training tail): one block product gives
-the squared Gram of the last min(k, H) rows, and its row cumulative sums
-fill the ring as k single pushes would.  The batch statistic and the split
-profile share one reduction of the squared Gram to off-band row and column
-sums, a block of rows at a time: O(n^2 * p) work and O(n) memory.
+(WindowState) keeps the window's centered rows newest first, each with its
+sums of squared products over its older rows by age, written once as it
+arrives, and over its newer rows: a new observation costs one matrix-vector
+product, O(H * p), and the statistic, read through the separable weights
+W(i, j) = u(i) + v(j), M + 2 strided dot products, O(H * (M + 1)), with no
+gather or scatter.  An empty window can also be loaded with k rows at once
+(a detector primed from the training tail) from one block product of the
+last min(k, H) rows.  The batch statistic, the split profile and a
+stationarity test handed its trace table share one reduction of the
+squared Gram to off-band row and column sums, a block of rows at a time:
+O(n^2 * p) work and O(n) memory.
 
 One input rule holds for every array the package takes from a caller
 (observations, a mean, priming rows, a history) and is written once, in
@@ -22,6 +24,9 @@ the last axis, and finite values.  The DataError names the input.
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,7 +59,9 @@ def _as_array(obs, name: str, ndim: int, width: int | None = None) -> np.ndarray
     if width is not None and x.shape[-1] != width:
         raise DataError(f"{name} must have last dimension {width}, got shape {x.shape}")
     x = x.astype(np.float64, copy=False)
-    if not np.isfinite(x).all():
+    # x.x is finite only if every entry is; blocks skip this dot, which BLAS
+    # would spread over threads that Monte Carlo worker threads contend with
+    if not (ndim == 1 and math.isfinite(np.vdot(x, x))) and not np.isfinite(x).all():
         raise DataError(f"{name} must be finite, got non-finite values")
     return x
 
@@ -80,6 +87,11 @@ def _offband_sums(block, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return row, col
 
 
+def _centered_offband_sums(xc: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """_offband_sums of the Gram of centered rows xc, built block by block."""
+    return _offband_sums(lambda i0, i1, j1: xc[i0:i1] @ xc[:j1].T, xc.shape[0], m)
+
+
 def _summed_statistic(row: np.ndarray, col: np.ndarray, plan: WeightPlan) -> float:
     """sum W G^2 / n^2 = 2 (u . row + v . col) / n^2 from the off-band sums
     of _offband_sums."""
@@ -97,8 +109,7 @@ def statistic_batch(obs, mean, plan: WeightPlan) -> float:
     n, p = x.shape
     if plan.length != n:
         raise ConfigurationError(f"plan built for length {plan.length}, got {n} observations")
-    xc = x - _check_mean(mean, p)
-    row, col = _offband_sums(lambda i0, i1, j1: xc[i0:i1] @ xc[:j1].T, n, plan.dep_order)
+    row, col = _centered_offband_sums(x - _check_mean(mean, p), plan.dep_order)
     return _summed_statistic(row, col, plan)
 
 
@@ -112,7 +123,7 @@ def _split_profile(xc: np.ndarray, dep_order: int) -> tuple[np.ndarray, np.ndarr
     """
     m = dep_order
     n = xc.shape[0]
-    row, col = _offband_sums(lambda i0, i1, j1: xc[i0:i1] @ xc[:j1].T, n, m)
+    row, col = _centered_offband_sums(xc, m)
     ts = np.arange(m + 2, n - m - 1)
     left = np.cumsum(row)[ts - 1]            # both indices <= t
     cross = np.cumsum(col)[ts - 1] - left    # lower index <= t < upper
@@ -136,20 +147,21 @@ def profile_statistic(obs, mean, dep_order: int, t: int) -> float:
 
 
 class WindowState:
-    """Window of the last `capacity` centered observations with cached
-    squared inner products.
+    """Window of the last `capacity` (H) centered observations and the sums
+    of their squared inner products that the windowed statistic reads.
 
-    The centered rows sit in ring slot count % capacity, and the capacity x
-    capacity ring `_sq` holds two numbers for each pair of rows: entry
-    (newer, older) is their squared product G^2, and entry (older, newer) is
-    the newer row's sum of G^2 over the rows from the older one up to itself
-    (exclusive).  Pushing row r writes ring row r (its products) and ring
-    column r (those sums); nothing is shifted.  Entry (oldest, r) is then
-    r's sum over every older row in the window, a sum written once and never
-    updated by subtraction.  `_newer` holds each row's sum over the newer
-    rows, added to as they arrive and reset when its slot is reused, so no
-    running sum outlives `capacity` pushes.  Single-writer: one stream
-    owner pushes.
+    The rows sit newest first in a 2H-row buffer: `_buf[_top + a]` is the
+    row pushed a pushes ago (age a).  A push lowers `_top` by one and writes
+    there, so the new row's products with its H - 1 older rows are one
+    matrix-vector product over the contiguous rows below it.  When `_top`
+    reaches 0, the H - 1 rows that stay (and their sums) are block-copied
+    to the far end of the buffers, once every H pushes.  Row b of the
+    2H x H array `_sq` is indexed by age: `_sq[b, a]` is the sum of G^2
+    between the row at b and its a nearest older rows, written once, by one
+    accumulate, when the row arrives and never updated, so no running sum
+    outlives the row.  `_newer[b]` is that row's sum over the newer rows,
+    added to as they arrive.  Nothing depends on a dependence order, so one
+    state serves plans of any order.  Single-writer: one stream owner pushes.
     """
 
     def __init__(self, capacity: int):
@@ -157,15 +169,10 @@ class WindowState:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.count = 0
-        self._buf: np.ndarray | None = None        # capacity x p, centered
-        self._sq: np.ndarray | None = None         # capacity x capacity ring
-        self._newer = np.zeros(capacity)
-        # _slots[o:o + capacity] lists the slots in time order when the
-        # oldest row is in slot o
-        self._slots = np.arange(2 * capacity) % capacity
-        # _bands[d - 1][o:o + capacity - d] is the flat ring index of the
-        # entries (position k + d, position k) when the oldest row is in slot o
-        self._bands: list[np.ndarray] = []
+        self._buf: np.ndarray | None = None  # 2H x p, centered rows
+        self._sq: np.ndarray | None = None   # 2H x H, sums over older rows by age
+        self._newer = np.zeros(2 * capacity)
+        self._top = capacity                 # buffer row of the newest row
 
     def push(self, x, mean) -> "WindowState":
         """Center x, store it (evicting the oldest when full), cache products."""
@@ -173,67 +180,62 @@ class WindowState:
         xv = _as_array(x, "observation", 1, width)
         return self._store(xv - _check_mean(mean, xv.shape[0]))
 
+    def _allocate(self, p: int) -> None:
+        h = self.capacity
+        self._buf, self._sq = np.zeros((2 * h, p)), np.zeros((2 * h, h))
+        self._newer[:] = 0.0
+
     def _store(self, xc: np.ndarray) -> "WindowState":
         """Store an already validated, centered observation: O(H * p)."""
         h = self.capacity
         if self._buf is None:
-            self._buf = np.zeros((h, xc.shape[0]))
-            self._sq = np.zeros((h, h))
-        slot = self.count % h
-        self._buf[slot] = xc
-        self.count += 1
-        filled = min(self.count, h)
-        sq = self._buf[:filled] @ xc
+            self._allocate(xc.shape[0])
+        if self._top == 0:  # the H - 1 rows that stay go to the far end
+            for a in (self._buf, self._sq, self._newer):
+                a[h + 1:] = a[:h - 1]
+            self._top = h + 1
+        self._top -= 1
+        b = self._top
+        self._buf[b] = xc
+        # the H rows from b are the window, zero rows while it fills
+        sq = self._buf[b:b + h] @ xc
         sq *= sq
-        # the older rows from newest to oldest are slots slot-1 .. 0 and then
-        # filled-1 .. slot+1; each one's entry in column slot is the sum of
-        # the new products from it up to the newest, and row slot holds the
-        # products themselves
-        recent = np.concatenate((sq[:slot][::-1], sq[:slot:-1]))
-        np.add.accumulate(recent, out=recent)
-        col = self._sq[:, slot]
-        col[:slot] = recent[:slot][::-1]
-        col[slot + 1:filled] = recent[slot:][::-1]
-        self._sq[slot, :filled] = sq
-        self._newer[:filled] += sq
-        self._newer[slot] = 0.0
+        sq[0] = 0.0
+        np.add.accumulate(sq, out=self._sq[b])
+        self._newer[b] = 0.0
+        self._newer[b:b + h] += sq
+        self.count += 1
         return self
 
     def _load(self, block: np.ndarray) -> "WindowState":
         """Fill an empty state with k validated, centered rows at once.
 
-        Leaves the state that k calls of _store would leave, up to the
-        rounding of one block product against k matrix-vector products:
-        the squared Gram of the last min(k, H) rows goes below the ring's
-        diagonal, each newer row's reversed cumulative sums (accumulated
-        newest to oldest, as _store does) above it, and the column sums
-        below the diagonal to _newer.
+        Leaves the live state that k calls of _store would leave, up to the
+        rounding of one block product against k matrix-vector products: in
+        the squared Gram of the last m = min(k, H) rows, newest first and
+        kept above its diagonal, a row's cumulative sums from the diagonal
+        on are its sums over the older rows by age, and the column sums
+        those over the newer rows.  The rows start at `_top` = H, so the
+        first block copy comes H pushes later.
         """
         k, p = block.shape
         if k == 0:
             return self
         h = self.capacity
-        rows = block[-h:]
-        m = rows.shape[0]
-        shift = (k - m) % h  # slot of the oldest row kept
-        self._buf = np.zeros((h, p))
-        self._sq = np.zeros((h, h))
-        ring = self._sq[:m, :m] if shift == 0 else np.empty((m, m))
-        sq = rows @ rows.T
-        sq *= sq
-        own = sq.diagonal().copy()
-        sq *= np.tri(m, k=-1, dtype=bool)  # keep the (newer, older) pairs
-        # ring[i, j] for i older than j is row j's sum from i up to j - 1;
-        # the cumsum leaves zeros on and below the diagonal
-        np.cumsum(sq[:, ::-1], axis=1, out=ring[::-1].T)
-        ring += sq
-        np.fill_diagonal(ring, own)
-        newer = sq.sum(axis=0)
-        if shift:
-            self._sq = np.roll(ring, shift, axis=(0, 1))
-            rows, newer = np.roll(rows, shift, axis=0), np.roll(newer, shift)
-        self._buf[:m] = rows
-        self._newer[:m] = newer
+        m = min(k, h)
+        self._allocate(p)
+        rows = self._buf[h:h + m]
+        rows[:] = block[k - m:][::-1]
+        skew = np.zeros(m * (m + 1))
+        gram = skew[:m * m].reshape(m, m)
+        np.matmul(rows, rows.T, out=gram)
+        gram *= gram
+        gram *= ~np.tri(m, dtype=bool)  # keep (newer, older) pairs
+        # row i of the stride-(m + 1) view starts at gram[i, i]: its entry a
+        # is the product with the row a older, and zero past the oldest
+        np.cumsum(skew.reshape(m, m + 1)[:, :m], axis=1, out=self._sq[h:h + m, :m])
+        self._newer[h:h + m] = gram.sum(axis=0)
+        self._top = h
         self.count = k
         return self
 
@@ -241,12 +243,24 @@ class WindowState:
     def full(self) -> bool:
         return self.count >= self.capacity
 
-    def _band_index(self, d: int) -> np.ndarray:
-        """Flat ring index of band diagonal d over the doubled slot array."""
-        while len(self._bands) < d:
-            e = len(self._bands) + 1
-            self._bands.append(self._slots[e:] * self.capacity + self._slots[:-e])
-        return self._bands[d - 1]
+
+@lru_cache(maxsize=64)
+def _window_weights(plan: WeightPlan) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """u and v by age (newest first), and one weight vector per band
+    diagonal d = 1 .. M over the age-d column of WindowState._sq.
+
+    Row a of the window (age a) and its d-th older row carry weight
+    w_d = u(a) + v(a + d) on their product g_d, which the band takes out.
+    With c_d = g_1 + .. + g_d the age-d column, summation by parts gives
+    sum_{d <= D} w_d g_d = (u(a) + v(a + D)) c_D + sum_{d < D} (v(a + d) -
+    v(a + d + 1)) c_d, where D = min(M, H - 1 - a) diagonals reach row a.
+    """
+    h, m = plan.length, plan.dep_order
+    ur, vr = plan.u[::-1].copy(), plan.v[::-1].copy()
+    bands = [vr[d:] - np.append(vr[d + 1:], -ur[h - 1 - d]) for d in range(1, m)]
+    if m:
+        bands.append(vr[m:] + ur[:h - m])
+    return ur, vr, bands
 
 
 def statistic_windowed(state: WindowState, plan: WeightPlan) -> float | None:
@@ -256,7 +270,10 @@ def statistic_windowed(state: WindowState, plan: WeightPlan) -> float | None:
     for length H serves every evaluation.  With W(i, j) = u(i) + v(j) off the
     band (i newer), the statistic is (2/H^2) * [sum_i u(i) * L(i) +
     sum_j v(j) * R(j)], L and R being a row's sums of G^2 over the older and
-    the newer rows, less the M band diagonals: O(H * (M + 1)).
+    the newer rows, less the M band diagonals.  The row of age a reads L at
+    its age H - 1 - a, so the L terms lie on one anti-diagonal of
+    WindowState._sq, and each band diagonal is one age column: M + 2 strided
+    dot products, O(H * (M + 1)).
     """
     if plan.length != state.capacity:
         raise ConfigurationError(
@@ -264,15 +281,11 @@ def statistic_windowed(state: WindowState, plan: WeightPlan) -> float | None:
         )
     if not state.full:
         return None
-    h = state.capacity
-    o = state.count % h  # slot of the oldest row
-    order = state._slots[o:o + h]
-    ring, u, v = state._sq, plan.u, plan.v
-    # the oldest row's entry at a newer row is that row's sum over all its
-    # older rows; at itself it is its own product, which is skipped
-    total = u[1:].dot(ring[o].take(order[1:])) + v.dot(state._newer.take(order))
-    flat = ring.reshape(-1)
-    for d in range(1, plan.dep_order + 1):
-        band = flat.take(state._band_index(d)[o:o + h - d])  # G^2 of positions k+d, k
-        total -= u[d:].dot(band) + v[:-d].dot(band)
+    h, top = state.capacity, state._top
+    ur, vr, bands = _window_weights(plan)
+    flat = state._sq.reshape(-1)
+    first = top * h + h - 1  # _sq[top, h - 1]
+    total = ur.dot(flat[first:first + h * (h - 1):h - 1]) + vr.dot(state._newer[top:top + h])
+    for d, w in enumerate(bands, 1):
+        total -= w.dot(flat[top * h + d:(top + h - d) * h:h])
     return float(2.0 * total / h**2)

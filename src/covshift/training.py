@@ -70,7 +70,7 @@ from .errors import (
     DependenceTooStrongError,
     InsufficientTrainingError,
 )
-from .stats import _as_matrix, _check_mean, _summed_statistic
+from .stats import _as_matrix, _centered_offband_sums, _check_mean, _summed_statistic
 from .weights import build_weight_plan, lag_weight_sums
 
 __all__ = [
@@ -531,10 +531,12 @@ def _check_rows(n0: int, dep_order: int) -> None:
         )
 
 
-def _stationarity(off: _OffBand, table: TraceTable, alpha: float) -> StationarityResult:
-    n0 = off.n
+def _stationarity(sums: tuple[np.ndarray, np.ndarray], table: TraceTable,
+                  alpha: float) -> StationarityResult:
+    """The test from the off-band row and column sums of the squared Gram."""
+    n0 = sums[0].shape[0]
     plan = build_weight_plan(n0, table.dep_order)
-    stat_raw = _summed_statistic(*off.offband_squares(table.dep_order), plan)
+    stat_raw = _summed_statistic(*sums, plan)
     statistic = stat_raw / _null_sd(table, n0)
     z_alpha = NormalDist().inv_cdf(1.0 - alpha)
     return StationarityResult(statistic=statistic, z_alpha=z_alpha, rejected=bool(statistic > z_alpha))
@@ -552,18 +554,22 @@ def stationarity_test(
     The full-length batch statistic standardized by its estimated null sd is
     asymptotically standard normal; reject when it exceeds the upper-alpha
     normal quantile.  The statistic is read through (u, v) from the off-band
-    row and column sums of the squared Gram, taken down the diagonal slab.
+    row and column sums of the squared Gram: down the diagonal slab that
+    the trace table is estimated from, or, when a table is passed, in
+    blocks of rows from the centered rows, so no n0 x n0 array is built.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
     x = _as_matrix(train)
     _check_rows(x.shape[0], dep_order)
-    off = _OffBand(_centered_gram(x, mean), dep_order)
     if table is None:
+        off = _OffBand(_centered_gram(x, mean), dep_order)
         table = _trace_table(off, dep_order)
+        sums = off.offband_squares(dep_order)
     else:
         _check_table(table, dep_order)
-    return _stationarity(off, table, alpha)
+        sums = _centered_offband_sums(x - _check_mean(mean, x.shape[1]), dep_order)
+    return _stationarity(sums, table, alpha)
 
 
 @dataclass(frozen=True)
@@ -608,7 +614,7 @@ def fit_training(train, config: FitConfig) -> TrainingSummary:
     _check_rows(n0, m)
     table = _trace_table(off, m)
     null_sd = _null_sd(table, config.window)
-    stationarity = _stationarity(off, table, config.alpha)
+    stationarity = _stationarity(off.offband_squares(m), table, config.alpha)
     # the slab goes before the tail is copied, so the copy can take its memory
     del off
     tail = x[-(config.window - 1):].copy() if config.window > 1 else x[:0].copy()

@@ -163,6 +163,58 @@ def test_dimension_and_finiteness_validated():
         det.step([0.0] * 29 + [[1.0, 2.0]])
 
 
+def test_finite_rows_with_overflowing_squares_are_accepted():
+    # 1e200 is finite though its square is not: the cheap check (a finite
+    # x.x) fails for it, and the full check must then let it through
+    train, summary = make_summary(p=3, window=20)
+    big = np.array([1e200, 0.5, -1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        Detector(summary, DetectorConfig(window=20, threshold=3.0)).step(big)
+        Detector(summary, DetectorConfig(window=20, threshold=3.0)).scan(np.vstack([big, big]))
+        WindowState(4).push(big, np.zeros(3))
+        x = train.copy()
+        x[5] = big
+        fit_training(x, FitConfig(window=20, dep_order_override=0))
+    det = Detector(summary, DetectorConfig(window=20, threshold=3.0))
+    bad_rows = [[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, 0.0], [1e200, np.inf, 0.0]]
+    for bad in bad_rows:
+        for name, call in [
+            ("observation", lambda: det.step(bad)),
+            ("observations", lambda: det.scan([bad])),
+            ("observation", lambda: WindowState(4).push(bad, np.zeros(3))),
+            ("observations", lambda: fit_training(np.vstack([train, bad]), FitConfig(window=20))),
+        ]:
+            with pytest.raises(DataError, match=f"^{name} must be finite, got non-finite values$"):
+                call()
+    assert det.steps == 0
+
+
+def test_trajectory_is_a_fresh_list_and_costs_8_bytes_a_step():
+    import tracemalloc
+
+    summary, config, rows, ref, stats = scan_stream()
+    trajectory = ref.trajectory
+    assert trajectory == [s for s in stats if s is not None]
+    trajectory.append(0.0)
+    assert ref.trajectory == trajectory[:-1]  # a copy, not the stored values
+    assert ref.build_report().trajectory == ref.trajectory
+
+    train, summary = make_summary(p=2, n0=40, window=5)
+    det = Detector(summary, DetectorConfig(window=5, threshold=1e300))
+    block = np.random.default_rng(6).standard_normal((1000, 2))
+    det.scan(block)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(100):
+            det.scan(block)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert det.steps == 101_000
+    assert grown < 12 * 100_000, grown
+
+
 def test_non_real_input_is_rejected_and_named():
     # bool, complex, string and object arrays are refused, never cast to
     # float: a malformed row must stop the monitor, not be scored

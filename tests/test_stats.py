@@ -200,7 +200,7 @@ def test_window_state_basic_push():
     state.push(np.array([1.0, 2.0]), np.zeros(2))
     assert state.count == 1
     assert not state.full
-    assert state._sq[0, 0] == pytest.approx(5.0**2)
+    assert np.array_equal(state._buf[state._top], [1.0, 2.0])
 
 
 def test_rejected_first_push_leaves_window_state_usable():
@@ -209,7 +209,42 @@ def test_rejected_first_push_leaves_window_state_usable():
         state.push(np.ones(3), np.zeros(2))  # mean of the wrong dimension
     state.push(np.ones(2), np.zeros(2))
     assert state.count == 1
-    assert state._sq[0, 0] == pytest.approx(2.0**2)
+    assert np.array_equal(state._buf[state._top], [1.0, 1.0])
+
+
+def live_state(state):
+    """A WindowState's rows newest first, each row's sums over its older
+    rows in the window by age (zero past the oldest), and its sums over
+    the newer rows: what k pushes determine, wherever the rows sit."""
+    n, top = min(state.count, state.capacity), state._top
+    ages = np.arange(n)
+    in_window = ages[:, None] + ages[None, :] < n
+    older = np.where(in_window, state._sq[top:top + n, :n], 0.0)
+    return {"rows": state._buf[top:top + n], "older": older, "newer": state._newer[top:top + n]}
+
+
+def test_rejected_push_before_a_block_copy_leaves_the_state_unchanged():
+    h, p = 7, 3
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((2 * h + 1, p))
+    state = WindowState(h)
+    for row in x[:h]:
+        state.push(row, np.zeros(p))
+    assert state._top == 0  # the next push copies the window to the far end
+    saved = [a.copy() for a in (state._buf, state._sq, state._newer)]
+    bad = x[h].copy()
+    bad[1] = np.inf
+    with pytest.raises(DataError, match="must be finite"):
+        state.push(bad, np.zeros(p))
+    assert state.count == h and state._top == 0
+    for got, want in zip((state._buf, state._sq, state._newer), saved):
+        assert np.array_equal(got, want)
+    plan = build_weight_plan(h, 1)
+    for t in range(h, 2 * h + 1):
+        state.push(x[t], np.zeros(p))
+        win = x[t - h + 1:t + 1]
+        err = statistic_windowed(state, plan) - statistic_batch(win, np.zeros(p), plan)
+        assert abs(err) <= 1e-12 * term_scale(win, np.zeros(p), plan), t
 
 
 def test_window_state_holds_last_capacity_rows():
@@ -363,12 +398,12 @@ def test_primed_window_matches_row_by_row_pushes():
             if k == 0:
                 assert det._state._sq is None and ref._sq is None
             else:
-                # both triangles of the ring, each row's sum over the newer
-                # rows and the centered rows, slot for slot
-                for name in ("_sq", "_newer", "_buf"):
-                    got, want = getattr(det._state, name), getattr(ref, name)
-                    err = np.abs(got - want).max()
-                    assert err <= 1e-13 * np.abs(want).max(), (h, k, name)
+                # the centered rows, each row's sums over the older rows by
+                # age and its sum over the newer rows, age for age
+                got, want = live_state(det._state), live_state(ref)
+                for name in ("rows", "older", "newer"):
+                    err = np.abs(got[name] - want[name]).max()
+                    assert err <= 1e-13 * np.abs(want[name]).max(), (h, k, name)
             for t in range(k, k + 3 * h):
                 res = det.step(x[t])
                 if t < h - 1:
@@ -394,3 +429,32 @@ def test_one_window_state_serves_plans_of_any_dep_order():
                 plan = build_weight_plan(h, m)
                 err = statistic_windowed(state, plan) - statistic_batch(win, mean, plan)
                 assert abs(err) <= 1e-12 * term_scale(win, mean, plan), (t, m)
+
+
+def test_step_and_scan_stay_exact_across_block_copies():
+    # the window's rows move to the far end of its buffers every H pushes;
+    # scan blocks of 7 rows straddle those copies, a step and a scan give
+    # the same numbers bit for bit, and both equal the batch statistic
+    rng = np.random.default_rng(43)
+    p, blocks, block = 3, 100, 7
+    for h in (5, 24):
+        for m in range(3):
+            if h < 2 * m + 5:  # a length-5 window admits only M = 0
+                continue
+            train = ma_stream(rng, 4 * h, p, m)
+            summary = fit_training(train, FitConfig(window=h, dep_order_override=m))
+            plan = build_weight_plan(h, m)
+            x = np.vstack([train[-(h - 1):], ma_stream(rng, blocks * block, p, m)])
+            config = DetectorConfig(window=h, threshold=1e12)
+            stepper = Detector(summary, config, prime=x[:h - 1])
+            scanner = Detector(summary, config, prime=x[:h - 1])
+            stepped = [stepper.step(row).std_stat for row in x[h - 1:]]
+            scanned = []
+            for b in range(blocks):
+                scanned += scanner.scan(x[h - 1 + b * block:h - 1 + (b + 1) * block])[1]
+            assert scanned == stepped, (h, m)
+            assert blocks * block >= 20 * h  # at least 20 block copies
+            for t, std_stat in enumerate(stepped, h - 1):
+                win = x[t - h + 1:t + 1]
+                err = std_stat * summary.null_sd - statistic_batch(win, summary.mean, plan)
+                assert abs(err) <= 1e-12 * term_scale(win, summary.mean, plan), (h, m, t)

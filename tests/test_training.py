@@ -295,6 +295,24 @@ def test_stationarity_statistic_matches_dense_weights():
         assert abs(got - expected) <= 1e-12 * scale, (n0, m)
 
 
+def test_stationarity_with_a_table_reads_the_rows_not_the_slab(monkeypatch):
+    # handed a table, the test reduces the centered rows block by block and
+    # builds no slab; its statistic is the one the fit's slab gives
+    rng = np.random.default_rng(29)
+    for n0, p, m in [(60, 8, 0), (300, 5, 2), (700, 3, 1)]:
+        x = rng.standard_normal((n0, p))
+        x[rng.random(n0) < 0.02] *= 1e3
+        summary = fit_training(x, FitConfig(window=20, dep_order_override=m))
+        monkeypatch.setattr(training, "_diagonal_slab", lambda gram: pytest.fail("slab built"))
+        got = stationarity_test(x, summary.mean, m, table=summary.trace_table)
+        monkeypatch.undo()
+        gram = (x - summary.mean) @ (x - summary.mean).T
+        w = dense_weights(build_weight_plan(n0, m))
+        sd = estimate_null_sd(x, summary.mean, m, n0, table=summary.trace_table)
+        scale = float((np.abs(w) * gram**2).sum()) / n0**2 / sd
+        assert abs(got.statistic - summary.stationarity.statistic) <= 1e-12 * scale, (n0, m)
+
+
 def test_stationarity_flags_change_inside_training():
     rng = np.random.default_rng(6)
     x = rng.standard_normal((200, 50))
