@@ -187,7 +187,8 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             break
     history = None
     if train_rows is not None and consumed:
-        history = np.vstack([train_rows, np.vstack(consumed)])
+        history = np.vstack([train_rows, *consumed])
+    del consumed  # the blocks live on in history; localize runs without them
     report = detector.build_report(history=history)
     payload = report.to_dict()
     if args.report:

@@ -224,11 +224,12 @@ def localize(history, summary: TrainingSummary) -> Optional[int]:
     stream is too short to admit any candidate.  Ties pick the earliest
     candidate.
 
-    O(n^2 * p) work and O(n) memory beyond the history (see
-    stats._split_profile).
+    O(n^2 * p) work, and beyond the history O(n) memory plus one 2 MB Gram
+    tile (stats._split_profile): 480 ms and a 4.6 MB tracemalloc peak at
+    n=20000, p=5 on one BLAS thread (BENCH_localize.json).
     """
     x = _as_matrix(history, "history", summary.p)
-    ts, profile = _split_profile(x - _check_mean(summary.mean, summary.p), summary.dep_order)
+    ts, profile = _split_profile(x, _check_mean(summary.mean, summary.p), summary.dep_order)
     if ts.size == 0:  # no split in [M+2, n-M-2]
         return None
     return int(ts[int(np.argmax(profile))])

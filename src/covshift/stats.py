@@ -13,8 +13,11 @@ gather or scatter.  An empty window can also be loaded with k rows at once
 (a detector primed from the training tail) from one block product of the
 last min(k, H) rows.  The batch statistic, the split profile and a
 stationarity test handed its trace table share one reduction of the
-squared Gram to off-band row and column sums, a block of rows at a time:
-O(n^2 * p) work and O(n) memory.
+squared Gram to off-band row and column sums, one 256 x 1024 tile at a
+time, each tile centered from its own row slices: O(n^2 * p) work, and
+beyond the rows two length-n sums, one 2 MB tile and its centered slices
+(at n=20000, p=5, M=0 localize peaks at 4.6 MB under tracemalloc, and at
+n=5000, p=50 at 4.9 MB; BENCH_localize.json).
 
 One input rule holds for every array the package takes from a caller
 (observations, a mean, priming rows, a history) and is written once, in
@@ -40,8 +43,10 @@ __all__ = [
     "statistic_windowed",
 ]
 
-# rows of the squared Gram matrix that _offband_sums holds at once
+# _offband_sums reduces the squared Gram a block of _PROFILE_BLOCK rows at a
+# time, each one tile of at most _GRAM_TILE columns (2 MB) at a time
 _PROFILE_BLOCK = 256
+_GRAM_TILE = 1024
 
 
 def _as_array(obs, name: str, ndim: int, width: int | None = None) -> np.ndarray:
@@ -76,20 +81,38 @@ def _check_mean(mean, p: int) -> np.ndarray:
 
 def _offband_sums(block, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """row[i] = sum_{j < i-M} G(i,j)^2 and col[j] = sum_{i > j+M} G(i,j)^2 of
-    an n x n Gram G, _PROFILE_BLOCK rows at a time; block(i0, i1, j1) returns
-    G[i0:i1, :j1], from centered rows or from a Gram already held."""
+    an n x n Gram G, _PROFILE_BLOCK rows by _GRAM_TILE columns at a time.
+
+    block(i0, i1, j0, j1) returns G[i0:i1, j0:j1], from centered rows or
+    from a Gram already held, as a new array that nothing else reads: it is
+    squared and band-masked in place.  Rows i0 .. i1 - 1 keep the columns
+    before i1 - M - 1, less the square of columns i0 - M .. i1 - M - 2 that
+    the band cuts on and above its diagonal.  A row block that fits one tile
+    is summed as one array, so its sums do not depend on the tile width.
+    """
     row, col = np.zeros(n), np.zeros(n)
     for i0 in range(m + 1, n, _PROFILE_BLOCK):
         i1 = min(i0 + _PROFILE_BLOCK, n)
-        sq = np.tril(block(i0, i1, i1 - m - 1) ** 2, i0 - m - 1)
-        row[i0:i1] = sq.sum(axis=1)
-        col[:i1 - m - 1] += sq.sum(axis=0)
+        cut = i0 - m  # first column of the square the band cuts
+        for j0 in range(0, i1 - m - 1, _GRAM_TILE):
+            j1 = min(j0 + _GRAM_TILE, i1 - m - 1)
+            tile = block(i0, i1, j0, j1)
+            np.square(tile, out=tile)
+            if j1 > cut:
+                c0 = max(cut, j0)
+                on_or_above = np.arange(c0 - cut, j1 - cut) >= np.arange(i1 - i0)[:, None]
+                np.copyto(tile[:, c0 - j0:], 0.0, where=on_or_above)
+            row[i0:i1] += tile.sum(axis=1)
+            col[j0:j1] += tile.sum(axis=0)
     return row, col
 
 
-def _centered_offband_sums(xc: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """_offband_sums of the Gram of centered rows xc, built block by block."""
-    return _offband_sums(lambda i0, i1, j1: xc[i0:i1] @ xc[:j1].T, xc.shape[0], m)
+def _centered_offband_sums(x: np.ndarray, mean: np.ndarray, m: int):
+    """_offband_sums of the Gram of the rows x - mean, each tile from its own
+    centered row slices, so no centered copy of x is held."""
+    def block(i0, i1, j0, j1):
+        return (x[i0:i1] - mean) @ (x[j0:j1] - mean).T
+    return _offband_sums(block, x.shape[0], m)
 
 
 def _summed_statistic(row: np.ndarray, col: np.ndarray, plan: WeightPlan) -> float:
@@ -103,18 +126,20 @@ def statistic_batch(obs, mean, plan: WeightPlan) -> float:
 
     Pass a zero mean for the uncentered form.  Zero exactly for constant
     input (the weights sum to zero) and scales as c^4 under obs -> c*obs.
-    Read through the separable weights: O(n^2 * p) work, O(n) memory.
+    Read through the separable weights: O(n^2 * p) work, and beyond obs
+    O(n) memory plus one Gram tile (4.5 MB at n=3000, p=20).
     """
     x = _as_matrix(obs)
     n, p = x.shape
     if plan.length != n:
         raise ConfigurationError(f"plan built for length {plan.length}, got {n} observations")
-    row, col = _centered_offband_sums(x - _check_mean(mean, p), plan.dep_order)
+    row, col = _centered_offband_sums(x, _check_mean(mean, p), plan.dep_order)
     return _summed_statistic(row, col, plan)
 
 
-def _split_profile(xc: np.ndarray, dep_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Splits t = M+2 .. n-M-2 of centered rows and the statistic at each.
+def _split_profile(x: np.ndarray, mean: np.ndarray, dep_order: int):
+    """Splits t = M+2 .. n-M-2 of the rows x centered at mean, and the
+    statistic at each.
 
     Each off-band pair sits on one side of t or straddles it, so its squared
     product is weighted alpha_t, beta_t or -gamma_t; the three sums are prefix
@@ -122,8 +147,8 @@ def _split_profile(xc: np.ndarray, dep_order: int) -> tuple[np.ndarray, np.ndarr
     total - prefix would lose ~n^2 ulps where it is small and beta_t ~ n.
     """
     m = dep_order
-    n = xc.shape[0]
-    row, col = _centered_offband_sums(xc, m)
+    n = x.shape[0]
+    row, col = _centered_offband_sums(x, mean, m)
     ts = np.arange(m + 2, n - m - 1)
     left = np.cumsum(row)[ts - 1]            # both indices <= t
     cross = np.cumsum(col)[ts - 1] - left    # lower index <= t < upper
@@ -137,12 +162,13 @@ def profile_statistic(obs, mean, dep_order: int, t: int) -> float:
 
     t is the (1-based) length of the first segment; valid splits are
     dep_order+2 <= t <= n-dep_order-2.  Under a change the expected profile
-    peaks at the true split.  O(n^2 * p) work and O(n) memory beyond obs.
+    peaks at the true split.  O(n^2 * p) work, and beyond obs O(n) memory
+    plus one Gram tile, as statistic_batch.
     """
     x = _as_matrix(obs)
     n, p = x.shape
     _check_split(t, n, dep_order)
-    ts, profile = _split_profile(x - _check_mean(mean, p), dep_order)
+    ts, profile = _split_profile(x, _check_mean(mean, p), dep_order)
     return float(profile[t - ts[0]])
 
 

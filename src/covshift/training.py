@@ -555,8 +555,9 @@ def stationarity_test(
     asymptotically standard normal; reject when it exceeds the upper-alpha
     normal quantile.  The statistic is read through (u, v) from the off-band
     row and column sums of the squared Gram: down the diagonal slab that
-    the trace table is estimated from, or, when a table is passed, in
-    blocks of rows from the centered rows, so no n0 x n0 array is built.
+    the trace table is estimated from, or, when a table is passed, one Gram
+    tile at a time from the rows, each tile centered from its own slices, so
+    neither an n0 x n0 array nor a centered copy of train is built.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
@@ -568,7 +569,7 @@ def stationarity_test(
         sums = off.offband_squares(dep_order)
     else:
         _check_table(table, dep_order)
-        sums = _centered_offband_sums(x - _check_mean(mean, x.shape[1]), dep_order)
+        sums = _centered_offband_sums(x, _check_mean(mean, x.shape[1]), dep_order)
     return _stationarity(sums, table, alpha)
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -387,6 +388,47 @@ def test_cli_monitor_answers_a_row_while_stdin_stays_open(tmp_path):
         proc.wait(timeout=20)
     assert proc.returncode == 0, err
     assert json.loads(out)["stopping_time"] is None
+
+
+class _LinePerRead:
+    """A binary stdin whose every read1 returns one line, as a pipe fed one
+    row at a time would."""
+
+    def __init__(self, lines):
+        self._lines = iter(lines)
+
+    def read1(self, size=-1):
+        return next(self._lines, b"")
+
+
+def test_cli_monitor_memory_after_one_row_per_read(tmp_path, capsys, monkeypatch):
+    # n0 = 500 training rows and 2007 monitored rows of p = 200 (the history
+    # is 4 MB), one row per read: the per-read blocks are released before
+    # localize, which holds one Gram tile and not an n x p centered copy and
+    # 256 x n Gram rows (over 25 MB in all)
+    import tracemalloc
+
+    rng = np.random.default_rng(33)
+    train, stream = rng.standard_normal((500, 200)), rng.standard_normal((2007, 200))
+    stream[2000:] *= 3.0
+    train_csv = tmp_path / "train.csv"
+    np.savetxt(train_csv, train, delimiter=",")
+    summary_path = tmp_path / "summary.json"
+    save_summary(fit_training(train, FitConfig(window=100, dep_order_override=0)), summary_path)
+    lines = [(json.dumps({"t": k, "x": row}) + "\n").encode()
+             for k, row in enumerate(stream.tolist())]
+    monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=_LinePerRead(lines)))
+    tracemalloc.start()
+    try:
+        rc = main(["monitor", "--summary", str(summary_path), "--a", "20",
+                   "--train-csv", str(train_csv)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    final = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert rc == 2 and final["tau_hat"] is not None
+    assert abs(final["tau_hat"] - 2500) <= 100
+    assert peak < 18e6
 
 
 def test_cli_monitor_jsonl_names_the_bad_line(tmp_path, capsys):

@@ -20,7 +20,7 @@ from covshift import (
     statistic_batch,
 )
 from covshift.errors import ConfigurationError, DataError, DetectorFinishedError
-from covshift.stats import _PROFILE_BLOCK
+from covshift.stats import _GRAM_TILE, _PROFILE_BLOCK
 from tests.test_weights import dense_profile
 
 
@@ -361,9 +361,10 @@ def test_localize_is_earliest_argmax_of_dense_profile():
     # localize's row/column-sum profile against the dense oracle's block
     # sums, over every admissible split
     rng = np.random.default_rng(41)
-    # the last case spans more than two of the profile's row blocks
+    # the fifth case spans more than two of the profile's row blocks; in the
+    # last, a late row's off-band sum spans two column tiles
     cases = [(30, 4, 0, None), (33, 3, 1, None), (36, 5, 2, None), (40, 6, 1, 22),
-             (2 * _PROFILE_BLOCK + 37, 3, 2, 300)]
+             (2 * _PROFILE_BLOCK + 37, 3, 2, 300), (_GRAM_TILE + 40, 2, 1, 700)]
     for n, p, m, tau in cases:
         x = rng.standard_normal((n, p))
         if tau is not None:
@@ -371,6 +372,24 @@ def test_localize_is_earliest_argmax_of_dense_profile():
         summary = SimpleNamespace(mean=rng.standard_normal(p) * 0.1, p=p, dep_order=m)
         ts, profile = dense_profile(x, summary.mean, m)
         assert localize(x, summary) == ts[int(np.argmax(profile))]
+
+
+def test_localize_memory_holds_one_gram_tile():
+    # 8000 rows of p = 5 are 0.3 MB; 256 Gram rows of that length are 16 MB
+    # each, the 2 MB tile and a few length-n vectors stay under 8 MB
+    import tracemalloc
+
+    x = np.random.default_rng(42).standard_normal((8000, 5))
+    x[5000:] *= 2.0
+    summary = SimpleNamespace(mean=np.zeros(5), p=5, dep_order=0)
+    tracemalloc.start()
+    try:
+        tau_hat = localize(x, summary)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(tau_hat - 5000) <= 50
+    assert peak < 8e6
 
 
 def test_localize_rejects_bad_summary_mean():

@@ -14,6 +14,7 @@ from covshift import (
     statistic_batch,
     statistic_windowed,
 )
+from covshift import stats
 from covshift.errors import ConfigurationError, DataError
 from tests.test_weights import brute_profile_weight, dense_weights, profile_weight_matrix
 
@@ -151,7 +152,7 @@ def test_profile_statistic_matches_dense_oracle_at_every_split():
 
 def test_profile_statistic_memory_is_linear_in_length():
     # a dense n x n array at n=3000 is 72 MB; the profile and the batch
-    # statistic hold 256 Gram rows
+    # statistic hold one tile of at most 256 x 1024 Gram entries
     x = np.random.default_rng(4).standard_normal((3000, 20))
     plan = build_weight_plan(3000, 1)
     for run in (
@@ -165,6 +166,44 @@ def test_profile_statistic_memory_is_linear_in_length():
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+
+def test_offband_sums_across_column_tiles_match_dense_masks(monkeypatch):
+    # narrow tiles put tile edges inside the square the band cuts and make a
+    # row's sum span many tiles; the width-1024 tile does not split these
+    # row blocks, so its sums are bit for bit those of one wide tile
+    rng = np.random.default_rng(33)
+    for n, m in ((40, 0), (300, 1), (531, 3), (700, 0)):
+        x = rng.standard_normal((n, 3))
+        mean = rng.standard_normal(3) * 0.1
+        g2 = ((x - mean) @ (x - mean).T) ** 2
+        off = np.tril(g2, -m - 1)
+        ref = stats._centered_offband_sums(x, mean, m)
+        for tile in (7, 100, 256, 4096):
+            monkeypatch.setattr(stats, "_GRAM_TILE", tile)
+            got = stats._centered_offband_sums(x, mean, m)
+            for s, want, dense in zip(got, ref, (off.sum(axis=1), off.sum(axis=0))):
+                assert np.all(np.abs(s - dense) <= 1e-12 * g2.sum()), (n, m, tile)
+                if tile > n:
+                    assert np.array_equal(s, want), (n, m, tile)
+
+
+def test_batch_and_profile_past_one_column_tile_match_dense_oracles():
+    # n > 1024 + M + 1: the late rows' off-band sums span two column tiles
+    rng = np.random.default_rng(34)
+    for n, m in ((stats._GRAM_TILE + 3, 1), (stats._GRAM_TILE + 300, 2)):
+        x = rng.standard_normal((n, 2))
+        x[n // 2:] *= 1.5
+        mean = rng.standard_normal(2) * 0.1
+        g2 = ((x - mean) @ (x - mean).T) ** 2
+        w = dense_weights(build_weight_plan(n, m))
+        got = statistic_batch(x, mean, build_weight_plan(n, m))
+        assert abs(got - (w * g2).sum() / n**2) <= 1e-12 * (np.abs(w) * g2).sum() / n**2
+        for t in (m + 2, n // 2, stats._GRAM_TILE, n - m - 2):
+            a = profile_weight_matrix(t, n, m)
+            expected = (a * g2).sum() / n**2
+            scale = (np.abs(a) * g2).sum() / n**2
+            assert abs(profile_statistic(x, mean, m, t) - expected) <= 1e-12 * scale, (n, m, t)
 
 
 def brute_statistic_single_t(x, mean, m, t):

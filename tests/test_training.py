@@ -172,7 +172,8 @@ def test_offband_squares_match_gram_reduction():
         gram = training._centered_gram(x, x.mean(axis=0))
         off = training._OffBand(gram, 0)
         for band in (0, 1, 2, 10):
-            want = _offband_sums(lambda i0, i1, j1: gram[i0:i1, :j1], n0, band)
+            # a copy: the reduction squares each block in place
+            want = _offband_sums(lambda i0, i1, j0, j1: gram[i0:i1, j0:j1].copy(), n0, band)
             for got, ref in zip(off.offband_squares(band), want):
                 assert np.all(np.abs(got - ref) <= 1e-12 * ref), (n0, band)
 
